@@ -1,7 +1,7 @@
 //! Decision-cost scaling of the MPC QP: dense O(jobs²) vs structured
 //! O(jobs) representations, swept over job count × horizon, plus the
-//! precision/layout profile ladder (`f64_aos` → `f64_soa` → `f32_soa` →
-//! `mixed_soa`) on the structured path.
+//! precision/layout profiles (`f64_aos`, `f64_soa`, `mixed_soa`) on the
+//! structured path.
 //!
 //! Two modes:
 //!
@@ -131,27 +131,19 @@ fn bench_decide(c: &mut Criterion) {
 
 criterion_group!(benches, bench_decide);
 
-/// The profile ladder measured in the snapshot, reference first.
-const PROFILES: [SolverProfile; 4] = [
+/// The profiles measured in the snapshot, reference first.
+const PROFILES: [SolverProfile; 3] = [
     SolverProfile {
         precision: perq_qp::Precision::F64,
         layout: perq_qp::Layout::Aos,
-        lanes: 8,
     },
     SolverProfile {
         precision: perq_qp::Precision::F64,
         layout: perq_qp::Layout::Soa,
-        lanes: 8,
-    },
-    SolverProfile {
-        precision: perq_qp::Precision::F32,
-        layout: perq_qp::Layout::Soa,
-        lanes: 8,
     },
     SolverProfile {
         precision: perq_qp::Precision::Mixed,
         layout: perq_qp::Layout::Soa,
-        lanes: 8,
     },
 ];
 
@@ -314,9 +306,7 @@ fn snapshot() {
          precision/layout profiles (f64/f32/mixed x AoS/SoA) on the structured path. Profile rows \
          carry p50/p99 decide latency, the objective's relative error against the f64_aos oracle, \
          and mixed-mode fallback counts.\",\n  \"solver\": {{\"max_iters\": 400, \"tol\": \
-         1e-6}},\n  \"dense_max_nv\": {DENSE_MAX_NV},\n  \"simd_feature\": {},\n  \"rows\": \
-         [\n    {}\n  ]\n}}\n",
-        cfg!(feature = "simd"),
+         1e-6}},\n  \"dense_max_nv\": {DENSE_MAX_NV},\n  \"rows\": [\n    {}\n  ]\n}}\n",
         rows.join(",\n    ")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_qp_scaling.json");

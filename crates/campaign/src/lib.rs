@@ -140,14 +140,16 @@ impl PolicySpec {
     }
 
     /// The standard PERQ arm under a non-default solver precision/layout
-    /// profile (`f64_soa`, `f32_soa`, `mixed_soa`) — the knob a campaign
+    /// profile (`f64_soa`, `mixed_soa`) — the knob a campaign
     /// uses to A/B decide-latency profiles against the `f64_aos`
     /// reference arm. Round-trips through serde like every other spec
     /// field; old scenario files without the field deserialize to the
     /// reference profile.
     pub fn perq_with_profile(profile: perq_core::SolverProfile) -> Self {
-        let mut config = PerqConfig::default();
-        config.solver_profile = profile;
+        let config = PerqConfig {
+            solver_profile: profile,
+            ..PerqConfig::default()
+        };
         let model = ModelSpec::Npb {
             seed: config.training_seed,
         };

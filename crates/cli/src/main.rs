@@ -40,10 +40,11 @@ const USAGE: &str = "perq — fair and efficient power management (HPDC'19 repro
 USAGE:
     perq simulate  [system=mira|trinity|tardis] [policy=perq|fop|sjs|ljs|srn] [f=2.0]
                    [hours=4] [seed=42] [interval=10] [json=out.json]
-                   [precision=f64|f32|mixed] (PERQ QP solver profile: f64 is
-                   the bit-reproducible reference; f32 iterates in single
-                   precision over SoA SIMD lanes; mixed is f32 with an f64
-                   residual check and automatic f64 fallback)
+                   [precision=f64|f64_soa|mixed] (PERQ QP solver profile: f64 is
+                   the bit-reproducible reference; f64_soa iterates in f64 over
+                   the step-major SoA layout; mixed iterates in f32 over SoA with
+                   an f64 residual check and automatic f64 fallback; any other
+                   spelling is a usage error)
                    [engine=step|event] (simulator core; both produce identical
                    results — event skips dead time on sparse workloads)
                    [faults=SEED] (seeded fault injection: node crashes, telemetry
@@ -114,7 +115,7 @@ USAGE:
                    [metrics-out=PATH] [metrics-fmt=prom|jsonl]
                    (replay the log through the simulator with seeded power profiles)
     perq serve     [listen=127.0.0.1:7070] [http=127.0.0.1:7071|off]
-                   [policy=fop|perq] [precision=f64|f32|mixed]
+                   [policy=fop|perq] [precision=f64|f64_soa|mixed]
                    [wp=8] [tick-ms=50] [decide-budget-ms=20]
                    [interval=1.0] [heartbeat=3] [ticks=N]
                    [metrics-out=PATH] [metrics-fmt=prom|jsonl] [engine-metrics-out=PATH]
@@ -181,27 +182,29 @@ fn system(map: &HashMap<String, String>) -> SystemModel {
     }
 }
 
-/// Parses `precision=f64|f32|mixed` (default: the bit-reproducible
-/// `f64`/AoS reference profile). `f32` and `mixed` iterate the decision
-/// QP in single precision over SoA lanes; `mixed` additionally verifies
-/// every answer against an f64 residual check and polishes in f64 when
-/// the check fails.
-fn solver_profile(map: &HashMap<String, String>) -> perq_core::SolverProfile {
+/// Parses `precision=f64|f64_soa|mixed` (default: the bit-reproducible
+/// `f64`/AoS reference profile). `mixed` iterates the decision QP in
+/// single precision over SoA lanes, verifies every answer against an f64
+/// residual check and polishes in f64 when the check fails. An unknown
+/// or retired spelling is a usage error: falling back to `f64` would
+/// label reference numbers as the run the user asked for.
+fn solver_profile(map: &HashMap<String, String>) -> Result<perq_core::SolverProfile, ExitCode> {
     match map.get("precision") {
-        None => perq_core::SolverProfile::default(),
-        Some(spec) => spec.parse().unwrap_or_else(|err| {
-            eprintln!("{err}, using f64");
-            perq_core::SolverProfile::default()
+        None => Ok(perq_core::SolverProfile::default()),
+        Some(spec) => spec.parse().map_err(|err| {
+            eprintln!("{err}");
+            ExitCode::from(2)
         }),
     }
 }
 
-fn policy(map: &HashMap<String, String>) -> Box<dyn PowerPolicy + Send> {
+fn policy(map: &HashMap<String, String>) -> Result<Box<dyn PowerPolicy + Send>, ExitCode> {
+    let solver_profile = solver_profile(map)?;
     let perq_config = || PerqConfig {
-        solver_profile: solver_profile(map),
+        solver_profile,
         ..PerqConfig::default()
     };
-    match map.get("policy").map(String::as_str) {
+    Ok(match map.get("policy").map(String::as_str) {
         Some("fop") => Box::new(FairPolicy::new()),
         Some("sjs") => Box::new(baselines::sjs()),
         Some("ljs") => Box::new(baselines::ljs()),
@@ -211,7 +214,7 @@ fn policy(map: &HashMap<String, String>) -> Box<dyn PowerPolicy + Send> {
             eprintln!("unknown policy '{other}', using perq");
             Box::new(PerqPolicy::new(perq_config()))
         }
-    }
+    })
 }
 
 fn engine(map: &HashMap<String, String>) -> SimEngine {
@@ -412,7 +415,10 @@ fn cmd_simulate(map: HashMap<String, String>) -> ExitCode {
     } else {
         Recorder::noop()
     };
-    let mut chosen = policy(&map);
+    let mut chosen = match policy(&map) {
+        Ok(policy) => policy,
+        Err(code) => return code,
+    };
     let chosen_is_fop = chosen.name() == "FOP";
     let mut fop_cluster = with_plan(Cluster::new(config.clone(), jobs.clone(), seed));
     if chosen_is_fop {
@@ -489,7 +495,10 @@ fn simulate_hier(
         Recorder::noop()
     };
     let policies: Vec<Box<dyn PowerPolicy + Send>> =
-        (0..hier.enclaves).map(|_| policy(map)).collect();
+        match (0..hier.enclaves).map(|_| policy(map)).collect() {
+            Ok(policies) => policies,
+            Err(code) => return code,
+        };
     let mut sim = HierSim::new(config, jobs, seed, hier, policies)
         .with_engine(engine)
         .with_threads(get(map, "enclave-threads", 1))
@@ -591,7 +600,10 @@ fn cmd_prototype(map: HashMap<String, String>) -> ExitCode {
         config.nodes, config.wp_nodes, n_jobs, intervals
     );
     let recorder = metrics_recorder(&map);
-    let mut chosen = policy(&map);
+    let mut chosen = match policy(&map) {
+        Ok(policy) => policy,
+        Err(code) => return code,
+    };
     let cluster = ProtoCluster::new(config).with_recorder(recorder.clone());
     let result = match cluster.run(jobs, chosen.as_mut()) {
         Ok(result) => result,
@@ -610,6 +622,12 @@ fn cmd_prototype(map: HashMap<String, String>) -> ExitCode {
 fn cmd_campaign(map: HashMap<String, String>) -> ExitCode {
     use perq_campaign::{fig8_style_grid, try_run_campaign, CampaignOptions, PolicySpec, Scenario};
 
+    // Generated grids and replays run the reference profile (a scenario
+    // file carries its own); a misspelt or retired `precision=` still
+    // must not pass for a run at that precision.
+    if let Err(code) = solver_profile(&map) {
+        return code;
+    }
     let threads: usize = get(&map, "threads", 1);
     let scenarios: Vec<Scenario> = if let Some(path) = map.get("scenarios") {
         let body = match std::fs::read_to_string(path) {
@@ -1052,6 +1070,9 @@ fn cmd_trace_replay(map: HashMap<String, String>) -> ExitCode {
         eprintln!("trace replay needs file=LOG.swf");
         return ExitCode::from(2);
     };
+    if let Err(code) = solver_profile(&map) {
+        return code;
+    }
     let system = system(&map);
     let f: f64 = get(&map, "f", 2.0);
     let hours: f64 = get(&map, "hours", 1.0);
@@ -1155,7 +1176,10 @@ fn cmd_serve(map: HashMap<String, String>) -> ExitCode {
     cfg.max_ticks = map.get("ticks").and_then(|v| v.parse().ok());
 
     let policy_name = map.get("policy").map(String::as_str).unwrap_or("fop");
-    let profile = solver_profile(&map);
+    let profile = match solver_profile(&map) {
+        Ok(profile) => profile,
+        Err(code) => return code,
+    };
     let Some(policy) = perq_serve::make_policy_with_profile(policy_name, profile) else {
         eprintln!("unknown serve policy '{policy_name}' (expected fop|perq)");
         return ExitCode::from(2);

@@ -35,9 +35,6 @@
 use perq_linalg::Matrix;
 use perq_qp::{BoxBudgetQp, Budget, Coupling, StructuredQp};
 
-#[cfg(feature = "parallel")]
-use rayon::prelude::*;
-
 /// Per-job inputs to one MPC decision, produced from the job's adapter.
 #[derive(Debug, Clone)]
 pub struct MpcJobState {
@@ -369,10 +366,6 @@ pub fn assemble_dense_qp(
 /// blocks `Bᵢ = gsᵢ²·T + D_ΔP` and one coupling `(w_s(j), sⱼ)` per
 /// horizon step. Returns the operator, the warm-start point, and the
 /// `k_ij` constants.
-///
-/// With the `parallel` feature the per-job block/constant assembly fans
-/// out across jobs with rayon; the serial tail (couplings, constraints)
-/// is O(jobs·M²) with small constants.
 pub fn assemble_structured_qp(
     params: &AssemblyParams<'_>,
     input: &MpcInput<'_>,
@@ -393,10 +386,13 @@ pub fn assemble_structured_qp(
     let mut c = vec![0.0; nv];
     let mut consts = vec![0.0; nv];
 
-    // Per-job block, linear term, and affine constants. Each job writes a
-    // disjoint m²-chunk of `blocks` and m-chunk of `c`/`consts`, so the
-    // loop parallelises without synchronisation.
-    let fill_job = |job: &MpcJobState, block: &mut [f64], cj: &mut [f64], kj: &mut [f64]| {
+    // Per-job block, linear term, and affine constants.
+    for (((block, cj), kj), job) in blocks
+        .chunks_mut(m * m)
+        .zip(c.chunks_mut(m))
+        .zip(consts.chunks_mut(m))
+        .zip(input.jobs.iter())
+    {
         debug_assert_eq!(job.free_response.len(), m, "free response length");
         let gs = job.gain * job.curve_slope;
         let const_in = const_input(job, params.input_offset);
@@ -419,27 +415,6 @@ pub fn assemble_structured_qp(
         }
         // ΔP anchoring toward the currently applied cap.
         cj[0] -= params.w_dp * job.current_cap_frac;
-    };
-
-    #[cfg(feature = "parallel")]
-    {
-        blocks
-            .par_chunks_mut(m * m)
-            .zip(c.par_chunks_mut(m))
-            .zip(consts.par_chunks_mut(m))
-            .zip(input.jobs.par_iter())
-            .for_each(|(((block, cj), kj), job)| fill_job(job, block, cj, kj));
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        for (((block, cj), kj), job) in blocks
-            .chunks_mut(m * m)
-            .zip(c.chunks_mut(m))
-            .zip(consts.chunks_mut(m))
-            .zip(input.jobs.iter())
-        {
-            fill_job(job, block, cj, kj);
-        }
     }
 
     // System-throughput couplings: sⱼ[(i,l)] = scaleᵢ·gsᵢ·tⱼ[l], one

@@ -30,8 +30,9 @@ pub struct PerqConfig {
     /// Maximum pseudo-job groups for grouped decisions.
     pub max_groups: usize,
     /// QP solver precision/layout profile. `f64_aos` (the default)
-    /// reproduces the reference decide path bit for bit; `f32_soa` and
-    /// `mixed_soa` trade precision for decide latency (see
+    /// reproduces the reference decide path bit for bit; `f64_soa` and
+    /// `mixed_soa` trade bit-reproducibility (and, for `mixed_soa`,
+    /// iterate precision) for decide latency (see
     /// [`perq_qp::SolverProfile`]).
     pub solver_profile: perq_qp::SolverProfile,
 }

@@ -199,7 +199,6 @@ mod tests {
         // The whole point of the per-scalar floor: 1e-300 would flush to
         // zero in f32 and break every `max(floor)` guard.
         assert_eq!(f64::NORM_FLOOR, 1e-300);
-        assert!(f32::NORM_FLOOR > 0.0_f32);
-        assert!(f32::NORM_FLOOR.is_normal());
+        assert!(f32::NORM_FLOOR.is_normal() && f32::NORM_FLOOR.is_sign_positive());
     }
 }

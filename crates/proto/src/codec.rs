@@ -10,8 +10,8 @@
 //! whatever bytes happen to be available — half a header, three frames
 //! and a tail, one byte at a time — and yields complete frames as they
 //! materialise, which is exactly the shape a readiness-driven event
-//! loop (`perq-serve`) needs. The blocking helpers in
-//! [`transport`](crate::transport) are rewired on top of the same
+//! loop (`perq-serve`) needs. The blocking helpers in the `transport`
+//! module are rewired on top of the same
 //! decoder, so there is one implementation of the format.
 //!
 //! Error discipline mirrors the blocking path:
@@ -149,8 +149,8 @@ impl FrameEncoder {
 
     /// Appends one encoded frame to `out`. The frame is contiguous, so
     /// a caller that hands `out` to a single `write` call preserves the
-    /// one-frame-one-write property [`FaultyTransport`]
-    /// (crate::FaultyTransport) relies on.
+    /// one-frame-one-write property
+    /// [`FaultyTransport`](crate::FaultyTransport) relies on.
     pub fn encode_into<T: Serialize>(
         &self,
         value: &T,

@@ -29,19 +29,15 @@
 //! [`LmaxCache`] of the previous Hessian's dominant eigenvector) to make
 //! repeated solves allocation-free and the Lipschitz estimate nearly free.
 //!
-//! With the `parallel` cargo feature the structured operator's
-//! block-diagonal matrix-vector product fans out across jobs with rayon.
-//!
 //! The projected-gradient path is generic over the iterate scalar
 //! ([`perq_linalg::Scalar`], `f64` or `f32`). [`SoaQp`] transposes a
 //! [`StructuredQp`] into structure-of-arrays lanes whose matvec, gradient
-//! step, and budget projection are straight-line chunked loops — the
-//! autovectorizer's favourite diet, with explicit 4/8-wide kernels behind
-//! the `simd` cargo feature (identical results; the feature only changes
-//! code generation). [`SolverProfile`] names a precision × layout choice
-//! and [`solve_profiled`] runs it, including the `mixed` mode that
-//! iterates in `f32` and accepts only after an `f64` KKT residual check
-//! (falling back to an `f64` polish otherwise).
+//! step, and budget projection are straight-line loops the autovectorizer
+//! handles. [`SolverProfile`] names a precision × layout choice
+//! (`f64_aos`, `f64_soa`, `mixed_soa`) and [`solve_profiled`] runs it,
+//! including the `mixed` mode that iterates in `f32` and accepts only
+//! after an `f64` KKT residual check (falling back to an `f64` polish
+//! otherwise).
 //!
 //! All solvers report convergence diagnostics in [`QpSolution`], and the
 //! test suite checks their answers against each other and against the KKT

@@ -6,13 +6,11 @@
 //! |-------------|----------|--------|--------------------------------------|
 //! | `f64_aos`   | `f64`    | AoS    | reference; byte-reproducible exports |
 //! | `f64_soa`   | `f64`    | SoA    | ≈ reference to solver tolerance      |
-//! | `f32_soa`   | `f32`    | SoA    | objective ≤ 1e-3 relative of oracle  |
 //! | `mixed_soa` | `f32`+`f64` | SoA | f64-checked: falls back on residual  |
 //!
-//! The mixed profile is the speed/accuracy sweet spot: it iterates in
-//! `f32` over [`crate::SoaQp`] lanes, then measures the **f64** KKT
-//! fixed-point residual of the result on the original
-//! [`crate::StructuredQp`]. If the measured residual is within
+//! The mixed profile iterates in `f32` over [`crate::SoaQp`] lanes, then
+//! measures the **f64** KKT fixed-point residual of the result on the
+//! original [`crate::StructuredQp`]. If the measured residual is within
 //! [`MIXED_ACCEPT_FACTOR`]× the solver's own convergence threshold the
 //! f32 answer is accepted; otherwise the driver re-solves in `f64`
 //! warm-started from the f32 iterate (a short polish — the f32 point is
@@ -37,8 +35,6 @@ pub enum Precision {
     /// Reference double precision.
     #[default]
     F64,
-    /// Single precision throughout (fastest, loosest).
-    F32,
     /// Iterate in `f32`, accept only after an `f64` residual check, fall
     /// back to an `f64` polish otherwise.
     Mixed,
@@ -55,20 +51,17 @@ pub enum Layout {
     Soa,
 }
 
-/// How the MPC decision QP is iterated: precision × layout × explicit
-/// kernel width. The default (`f64`/AoS) is the pre-profile behaviour and
-/// keeps every existing export byte-identical.
+/// How the MPC decision QP is iterated: precision × layout. The default
+/// (`f64`/AoS) is the pre-profile behaviour and keeps every existing
+/// export byte-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(default)]
 pub struct SolverProfile {
     /// Iterate precision.
     pub precision: Precision,
-    /// Storage layout (`f32`/`mixed` always run SoA — there is no f32
-    /// AoS operator — so `layout` is only meaningful at `f64`).
+    /// Storage layout (`mixed` always runs SoA — there is no f32 AoS
+    /// operator — so `layout` is only meaningful at `f64`).
     pub layout: Layout,
-    /// Explicit SIMD kernel width (4 or 8) under the `simd` feature;
-    /// never changes results, only code generation.
-    pub lanes: usize,
 }
 
 impl Default for SolverProfile {
@@ -76,7 +69,6 @@ impl Default for SolverProfile {
         SolverProfile {
             precision: Precision::F64,
             layout: Layout::Aos,
-            lanes: 8,
         }
     }
 }
@@ -92,16 +84,6 @@ impl SolverProfile {
         SolverProfile {
             precision: Precision::F64,
             layout: Layout::Soa,
-            lanes: 8,
-        }
-    }
-
-    /// `f32` iterates over SoA lanes.
-    pub fn f32_soa() -> Self {
-        SolverProfile {
-            precision: Precision::F32,
-            layout: Layout::Soa,
-            lanes: 8,
         }
     }
 
@@ -110,7 +92,6 @@ impl SolverProfile {
         SolverProfile {
             precision: Precision::Mixed,
             layout: Layout::Soa,
-            lanes: 8,
         }
     }
 
@@ -119,7 +100,6 @@ impl SolverProfile {
         match (self.precision, self.layout) {
             (Precision::F64, Layout::Aos) => "f64_aos",
             (Precision::F64, Layout::Soa) => "f64_soa",
-            (Precision::F32, _) => "f32_soa",
             (Precision::Mixed, _) => "mixed_soa",
         }
     }
@@ -130,7 +110,6 @@ impl SolverProfile {
         match (self.precision, self.layout) {
             (Precision::F64, Layout::Aos) => "perq_qp_iterations_f64_aos_total",
             (Precision::F64, Layout::Soa) => "perq_qp_iterations_f64_soa_total",
-            (Precision::F32, _) => "perq_qp_iterations_f32_soa_total",
             (Precision::Mixed, _) => "perq_qp_iterations_mixed_soa_total",
         }
     }
@@ -145,18 +124,16 @@ impl fmt::Display for SolverProfile {
 impl FromStr for SolverProfile {
     type Err = String;
 
-    /// Parses the CLI `precision=` spellings (`f64`, `f32`, `mixed`) plus
-    /// the explicit profile labels (`f64_aos`, `f64_soa`, `f32_soa`,
-    /// `mixed_soa`).
+    /// Parses the CLI `precision=` spellings (`f64`, `f64_soa`, `mixed`)
+    /// plus the explicit profile labels (`f64_aos`, `mixed_soa`).
     fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
         match s {
             "f64" | "f64_aos" => Ok(SolverProfile::f64_aos()),
             "f64_soa" => Ok(SolverProfile::f64_soa()),
-            "f32" | "f32_soa" => Ok(SolverProfile::f32_soa()),
             "mixed" | "mixed_soa" => Ok(SolverProfile::mixed_soa()),
             other => Err(format!(
-                "unknown precision profile {other:?} (expected f64, f32, mixed, \
-                 f64_aos, f64_soa, f32_soa, or mixed_soa)"
+                "unknown precision profile {other:?} (expected f64|f64_soa|mixed, \
+                 or a profile label f64_aos|f64_soa|mixed_soa)"
             )),
         }
     }
@@ -236,7 +213,7 @@ pub fn solve_profiled(
             })
         }
         (Precision::F64, Layout::Soa) => {
-            let soa: SoaQp<f64> = SoaQp::from_structured_with_lanes(sq, profile.lanes);
+            let soa: SoaQp<f64> = SoaQp::from_structured(sq);
             let warm_t = warm.map(|w| soa.to_soa(w));
             let sol = solver.solve_with(
                 &soa,
@@ -250,15 +227,8 @@ pub fn solve_profiled(
                 fell_back: false,
             })
         }
-        (Precision::F32, _) => {
-            let (x, iterations, converged) = solve_f32(solver, sq, warm, profile.lanes, state)?;
-            Ok(ProfiledSolution {
-                solution: finish_f64(sq, x, iterations, converged, state),
-                fell_back: false,
-            })
-        }
         (Precision::Mixed, _) => {
-            let (x, iterations, converged) = solve_f32(solver, sq, warm, profile.lanes, state)?;
+            let (x, iterations, converged) = solve_f32(solver, sq, warm, state)?;
             let mut solution = finish_f64(sq, x, iterations, converged, state);
             let lipschitz = sq.lmax_bound().max(1e-12);
             let threshold = solver.settings.tol * lipschitz.max(1.0) * MIXED_ACCEPT_FACTOR;
@@ -301,10 +271,9 @@ fn solve_f32(
     solver: &ProjGradSolver,
     sq: &StructuredQp,
     warm: Option<&[f64]>,
-    lanes: usize,
     state: &mut ProfiledQpState,
 ) -> Result<(Vec<f64>, usize, bool)> {
-    let soa: SoaQp<f32> = SoaQp::from_structured_with_lanes(sq, lanes);
+    let soa: SoaQp<f32> = SoaQp::from_structured(sq);
     let warm_t = warm.map(|w| soa.to_soa(w));
     let solver = if solver.settings.tol < F32_TOL_FLOOR {
         let mut floored = solver.clone();
@@ -422,14 +391,16 @@ mod tests {
         for (spec, label) in [
             ("f64", "f64_aos"),
             ("f64_soa", "f64_soa"),
-            ("f32", "f32_soa"),
             ("mixed", "mixed_soa"),
         ] {
             let p: SolverProfile = spec.parse().unwrap();
             assert_eq!(p.label(), label);
             assert_eq!(p.label().parse::<SolverProfile>().unwrap(), p);
         }
-        assert!("quad".parse::<SolverProfile>().is_err());
+        for retired in ["f32", "f32_soa", "quad"] {
+            let err = retired.parse::<SolverProfile>().unwrap_err();
+            assert!(err.contains("f64|f64_soa|mixed"), "{err}");
+        }
         assert_eq!(SolverProfile::default().label(), "f64_aos");
     }
 
@@ -469,11 +440,7 @@ mod tests {
                 solve_profiled(&solver, &sq, None, SolverProfile::f64_aos(), &mut state)
                     .unwrap()
                     .solution;
-            for profile in [
-                SolverProfile::f64_soa(),
-                SolverProfile::f32_soa(),
-                SolverProfile::mixed_soa(),
-            ] {
+            for profile in [SolverProfile::f64_soa(), SolverProfile::mixed_soa()] {
                 let got = solve_profiled(&solver, &sq, None, profile, &mut state).unwrap();
                 let rel = (got.solution.objective - reference.objective).abs()
                     / (1.0 + reference.objective.abs());

@@ -17,16 +17,12 @@
 //! The payoff is in the projection, which dominates the decide cost at
 //! large job counts: the bisection's usage evaluation becomes a dense
 //! branch-free loop over one contiguous range per budget, which the
-//! autovectorizer keeps in vector registers. With the `simd` feature the
-//! elementwise kernels additionally run as explicit fixed-width chunks
-//! ([`SolverProfile::lanes`](crate::SolverProfile) picks 4- or 8-wide);
-//! results are bitwise identical with and without the feature because
-//! elementwise operations need no reassociation.
+//! autovectorizer keeps in vector registers.
 //!
 //! Reductions (dots, usage sums) always use fixed 8-lane accumulators
-//! that carry `f64` partial sums in every build and at every scalar
-//! precision. For `S = f64` this is the identical arithmetic, so the SoA
-//! `f64` path keeps its results. For `S = f32` it is the load-bearing
+//! that carry `f64` partial sums at every scalar precision. For
+//! `S = f64` this is the identical arithmetic, so the SoA `f64` path
+//! keeps its results. For `S = f32` it is the load-bearing
 //! half of the mixed-precision design: the *storage* (and hence memory
 //! traffic and SIMD width of the elementwise kernels) stays `f32`, but
 //! the long dot products — coupling terms and budget-usage sums over
@@ -37,14 +33,14 @@
 //! only the accumulators drops the reduction error to one final
 //! rounding, leaving elementwise `f32` rounding (~1e-7) as the floor.
 //! Pinning one summation order also makes a given profile's results
-//! bitwise reproducible across builds and thread counts.
+//! bitwise reproducible.
 
 use crate::problem::{validate_constraints, Budget, QpOperator};
 use crate::projection::ProjectionScratch;
 use crate::{Result, StructuredQp};
 use perq_linalg::Scalar;
 
-/// Number of accumulator lanes used by every reduction, in every build.
+/// Number of accumulator lanes used by every reduction.
 const ACC_LANES: usize = 8;
 
 /// One transposed coupling term of the low-rank Hessian tail.
@@ -92,23 +88,11 @@ pub struct SoaQp<S: Scalar> {
     /// Certified λ_max bound inherited from the source problem (layout
     /// and precision of the iterate do not change the spectrum).
     lmax_bound: f64,
-    /// Explicit kernel width (4 or 8) used by the `simd`-feature
-    /// elementwise kernels; inert (codegen hint only) without the feature.
-    lanes: usize,
 }
 
 impl<S: Scalar> SoaQp<S> {
-    /// Transposes (and precision-casts) a [`StructuredQp`] into SoA form
-    /// with the default 8-wide explicit kernels.
+    /// Transposes (and precision-casts) a [`StructuredQp`] into SoA form.
     pub fn from_structured(sq: &StructuredQp) -> Self {
-        Self::from_structured_with_lanes(sq, 8)
-    }
-
-    /// [`SoaQp::from_structured`] with an explicit kernel width. Any value
-    /// other than 4 selects the 8-wide kernels; the choice never changes
-    /// results (elementwise kernels are bitwise identical at any width),
-    /// only code generation under the `simd` feature.
-    pub fn from_structured_with_lanes(sq: &StructuredQp, lanes: usize) -> Self {
         let m = sq.block_size();
         let nb = sq.num_blocks();
         let n = sq.dim();
@@ -167,13 +151,7 @@ impl<S: Scalar> SoaQp<S> {
             budgets_plain,
             disjoint_ranges,
             lmax_bound: sq.lmax_bound(),
-            lanes: if lanes == 4 { 4 } else { 8 },
         }
-    }
-
-    /// The explicit kernel width this instance was built with.
-    pub fn lanes(&self) -> usize {
-        self.lanes
     }
 
     /// Number of decision variables.
@@ -236,8 +214,7 @@ fn ranges_disjoint<S: Scalar>(budgets: &[SoaBudget<S>]) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Reduction kernels: fixed 8-lane accumulators in every build (see the
-// module docs for why the lane count is not feature-dependent).
+// Reduction kernels: fixed 8-lane accumulators (see the module docs).
 // ---------------------------------------------------------------------
 
 /// `Σ x[i]·y[i]` with split `f64` accumulators.
@@ -294,110 +271,30 @@ fn reduce_lanes(acc: [f64; ACC_LANES]) -> f64 {
 }
 
 // ---------------------------------------------------------------------
-// Elementwise kernels. No reassociation happens here, so the explicit
-// fixed-width chunking behind `simd` is bitwise identical to the plain
-// loops — it only hands the optimizer exact-width register blocks.
+// Elementwise kernels: plain loops, no reassociation.
 // ---------------------------------------------------------------------
 
 /// `out[i] = a[i]·b[i]`.
 #[inline]
-fn mul_into<S: Scalar>(lanes: usize, out: &mut [S], a: &[S], b: &[S]) {
-    #[cfg(feature = "simd")]
-    {
-        if lanes == 4 {
-            chunked::<S, 4>(out, a, b, |o, x, y| *o = x * y);
-        } else {
-            chunked::<S, 8>(out, a, b, |o, x, y| *o = x * y);
-        }
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        let _ = lanes;
-        for ((o, &x), &y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
-            *o = x * y;
-        }
+fn mul_into<S: Scalar>(out: &mut [S], a: &[S], b: &[S]) {
+    for ((o, &x), &y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
+        *o = x * y;
     }
 }
 
 /// `out[i] += a[i]·b[i]`.
 #[inline]
-fn fma_into<S: Scalar>(lanes: usize, out: &mut [S], a: &[S], b: &[S]) {
-    #[cfg(feature = "simd")]
-    {
-        if lanes == 4 {
-            chunked::<S, 4>(out, a, b, |o, x, y| *o += x * y);
-        } else {
-            chunked::<S, 8>(out, a, b, |o, x, y| *o += x * y);
-        }
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        let _ = lanes;
-        for ((o, &x), &y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
-            *o += x * y;
-        }
+fn fma_into<S: Scalar>(out: &mut [S], a: &[S], b: &[S]) {
+    for ((o, &x), &y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
+        *o += x * y;
     }
 }
 
 /// `out[i] += t·a[i]`.
 #[inline]
-fn axpy_lanes<S: Scalar>(lanes: usize, t: S, a: &[S], out: &mut [S]) {
-    #[cfg(feature = "simd")]
-    {
-        if lanes == 4 {
-            chunked_axpy::<S, 4>(t, a, out);
-        } else {
-            chunked_axpy::<S, 8>(t, a, out);
-        }
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        let _ = lanes;
-        for (o, &x) in out.iter_mut().zip(a.iter()) {
-            *o += t * x;
-        }
-    }
-}
-
-/// Fixed-width chunked `out += t·a`.
-#[cfg(feature = "simd")]
-#[inline]
-fn chunked_axpy<S: Scalar, const L: usize>(t: S, a: &[S], out: &mut [S]) {
-    let chunks = out.len() / L;
-    for k in 0..chunks {
-        let os = &mut out[k * L..(k + 1) * L];
-        let xs = &a[k * L..(k + 1) * L];
-        for l in 0..L {
-            os[l] += t * xs[l];
-        }
-    }
-    for i in chunks * L..out.len() {
-        out[i] += t * a[i];
-    }
-}
-
-/// Explicit fixed-width chunk driver for the binary elementwise kernels.
-#[cfg(feature = "simd")]
-#[inline]
-fn chunked<S: Scalar, const L: usize>(
-    out: &mut [S],
-    a: &[S],
-    b: &[S],
-    f: impl Fn(&mut S, S, S) + Copy,
-) {
-    debug_assert_eq!(out.len(), a.len());
-    debug_assert_eq!(out.len(), b.len());
-    let chunks = out.len() / L;
-    for k in 0..chunks {
-        let os = &mut out[k * L..(k + 1) * L];
-        let xs = &a[k * L..(k + 1) * L];
-        let ys = &b[k * L..(k + 1) * L];
-        for l in 0..L {
-            f(&mut os[l], xs[l], ys[l]);
-        }
-    }
-    for i in chunks * L..out.len() {
-        f(&mut out[i], a[i], b[i]);
+fn axpy_lanes<S: Scalar>(t: S, a: &[S], out: &mut [S]) {
+    for (o, &x) in out.iter_mut().zip(a.iter()) {
+        *o += t * x;
     }
 }
 
@@ -454,7 +351,7 @@ impl<S: Scalar> QpOperator<S> for SoaQp<S> {
 
     fn gradient_into(&self, x: &[S], out: &mut [S]) {
         self.hess_matvec_into(x, out);
-        axpy_lanes(self.lanes, S::ONE, &self.c_t, out);
+        axpy_lanes(S::ONE, &self.c_t, out);
     }
 
     /// Fused explicit gradient step: after the Hessian product lands in
@@ -480,9 +377,9 @@ impl<S: Scalar> QpOperator<S> for SoaQp<S> {
                 let brs = &self.blocks_t[(r * m + s) * nb..(r * m + s + 1) * nb];
                 let x_s = &x[s * nb..(s + 1) * nb];
                 if s == 0 {
-                    mul_into(self.lanes, out_r, brs, x_s);
+                    mul_into(out_r, brs, x_s);
                 } else {
-                    fma_into(self.lanes, out_r, brs, x_s);
+                    fma_into(out_r, brs, x_s);
                 }
             }
         }
@@ -494,7 +391,7 @@ impl<S: Scalar> QpOperator<S> for SoaQp<S> {
             }
             let t = S::from_f64(cp.weight.to_f64() * lane_dot(&cp.s_t, x));
             if t != S::ZERO {
-                axpy_lanes(self.lanes, t, &cp.s_t, out);
+                axpy_lanes(t, &cp.s_t, out);
             }
         }
     }
@@ -526,8 +423,8 @@ impl<S: Scalar> QpOperator<S> for SoaQp<S> {
         // original coordinates held in the scratch copy.
         scratch.base.clear();
         scratch.base.extend_from_slice(x);
-        for i in 0..x.len() {
-            x[i] = x[i].max(self.lo_t[i]).min(self.hi_t[i]);
+        for ((v, &lo), &hi) in x.iter_mut().zip(&self.lo_t).zip(&self.hi_t) {
+            *v = v.max(lo).min(hi);
         }
         if scratch.lambda_warm.len() < self.budgets.len() {
             scratch.lambda_warm.resize(self.budgets.len(), 0.0);

@@ -18,9 +18,6 @@ use crate::problem::{validate_constraints, Budget, QpOperator};
 use crate::{QpError, Result};
 use perq_linalg::vecops;
 
-#[cfg(feature = "parallel")]
-use rayon::prelude::*;
-
 /// One rank-1 coupling term `weight · s sᵀ` of the Hessian's low-rank
 /// tail.
 #[derive(Debug, Clone, PartialEq)]
@@ -221,22 +218,12 @@ impl StructuredQp {
 
         // Block-diagonal part: out_i = B_i x_i, independent per block.
         let mm = m * m;
-        #[cfg(feature = "parallel")]
+        for ((out_i, x_i), b) in out
+            .chunks_mut(m)
+            .zip(x.chunks(m))
+            .zip(self.blocks.chunks(mm))
         {
-            out.par_chunks_mut(m)
-                .zip(x.par_chunks(m))
-                .zip(self.blocks.par_chunks(mm))
-                .for_each(|((out_i, x_i), b)| block_matvec(m, b, x_i, out_i));
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            for ((out_i, x_i), b) in out
-                .chunks_mut(m)
-                .zip(x.chunks(m))
-                .zip(self.blocks.chunks(mm))
-            {
-                block_matvec(m, b, x_i, out_i);
-            }
+            block_matvec(m, b, x_i, out_i);
         }
 
         // Low-rank tail: out += Σ_r w_r (s_rᵀx) s_r.

@@ -9,7 +9,7 @@
 //! - a fixed profile is bitwise deterministic: re-solving the same
 //!   instance — in this thread or any spawned thread — reproduces the
 //!   identical bit pattern, because the SoA kernels pin one summation
-//!   order regardless of build flags or host parallelism.
+//!   order regardless of host parallelism.
 
 use perq_qp::{
     solve_profiled, Budget, Coupling, ProfiledQpState, ProjGradSettings, ProjGradSolver,
@@ -100,21 +100,14 @@ fn solve(sq: &StructuredQp, profile: SolverProfile) -> QpSolution {
         .solution
 }
 
-const NON_REFERENCE: [SolverProfile; 3] = [
+const NON_REFERENCE: [SolverProfile; 2] = [
     SolverProfile {
         precision: perq_qp::Precision::F64,
         layout: perq_qp::Layout::Soa,
-        lanes: 8,
-    },
-    SolverProfile {
-        precision: perq_qp::Precision::F32,
-        layout: perq_qp::Layout::Soa,
-        lanes: 8,
     },
     SolverProfile {
         precision: perq_qp::Precision::Mixed,
         layout: perq_qp::Layout::Soa,
-        lanes: 8,
     },
 ];
 
@@ -175,7 +168,6 @@ proptest! {
         for profile in [
             SolverProfile::f64_aos(),
             SolverProfile::f64_soa(),
-            SolverProfile::f32_soa(),
             SolverProfile::mixed_soa(),
         ] {
             let reference = solve(&sq, profile);

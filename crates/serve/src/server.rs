@@ -1,7 +1,7 @@
 //! The control-plane server: batched decide ticks over non-blocking
 //! connections, with live metrics and hot-reloadable budget/policy.
 //!
-//! Control semantics are ported from `perq-proto`'s `ClusterController`,
+//! Control semantics are ported from `perq-proto`'s `ProtoCluster`,
 //! specialised to the service shape: every attached worker runs a
 //! long-lived size-1 "service job", so the policy context is one
 //! [`JobView`] per live node and dead workers fall out of the live set —
@@ -516,13 +516,12 @@ impl<P: Poller> Server<P> {
             let decide_elapsed = decide_start.elapsed();
             self.engine
                 .observe("perq_serve_decide_seconds", decide_elapsed.as_secs_f64());
-            // Decide latency split by the policy's numeric profile, so an
-            // f32/mixed rollout can be compared against the f64 reference
+            // Decide latency split by the policy's numeric profile, so a
+            // mixed rollout can be compared against the f64 reference
             // from the same scrape (the recorder interns static names, so
             // the label is baked into the metric name).
             let latency_metric = match self.policy.solver_profile_label() {
                 "f64_soa" => "perq_serve_decide_latency_ms_f64_soa",
-                "f32_soa" => "perq_serve_decide_latency_ms_f32_soa",
                 "mixed_soa" => "perq_serve_decide_latency_ms_mixed_soa",
                 _ => "perq_serve_decide_latency_ms_f64_aos",
             };

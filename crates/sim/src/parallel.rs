@@ -19,10 +19,8 @@
 /// threads and returns the results in item order.
 ///
 /// `threads <= 1` (or a single item) runs strictly serially on the
-/// caller thread. With the `parallel` feature the fan-out runs on a
-/// dedicated rayon pool of exactly `threads` threads; without it, a
-/// `std::thread::scope` pool with an atomic work index provides the
-/// same semantics, so the engine is parallel even in minimal builds.
+/// caller thread; otherwise the fan-out is [`parallel_for_mut`] over a
+/// slot vector indexed by item. A panic in `f` propagates to the caller.
 ///
 /// `f` must be deterministic per item for campaign replays to be exact;
 /// the engine guarantees the rest (fixed fold order, no shared state).
@@ -32,123 +30,37 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    #[cfg(feature = "parallel")]
-    {
-        rayon_map(items, threads, f)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        scoped_map(items, threads, f)
-    }
+    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    parallel_for_mut(&mut slots, threads, |i, slot| *slot = Some(f(i, &items[i])));
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every index was claimed exactly once"))
+        .collect()
 }
 
 /// Applies `f(index, item)` to every item **in place** using up to
-/// `threads` worker threads.
+/// `threads` worker threads of a `std::thread::scope` pool.
 ///
 /// Each worker claims a distinct index off an atomic queue and mutates
 /// only that slot, so the items never alias; the per-item mutation must
 /// be deterministic for the whole pass to be (the hierarchical epoch
 /// loop's requirement). `threads <= 1` or a single item runs serially
-/// on the caller thread.
+/// on the caller thread. A panic in `f` propagates to the caller once
+/// every worker has stopped.
 pub fn parallel_for_mut<T, F>(items: &mut [T], threads: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+
     if threads <= 1 || items.len() <= 1 {
         for (i, item) in items.iter_mut().enumerate() {
             f(i, item);
         }
         return;
     }
-    #[cfg(feature = "parallel")]
-    {
-        rayon_for_mut(items, threads, f)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        scoped_for_mut(items, threads, f)
-    }
-}
-
-#[cfg(feature = "parallel")]
-fn rayon_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    use rayon::prelude::*;
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("rayon pool construction");
-    // par_iter preserves index order in collect regardless of which
-    // worker finishes first.
-    pool.install(|| items.par_iter().enumerate().map(|(i, t)| f(i, t)).collect())
-}
-
-#[cfg(feature = "parallel")]
-fn rayon_for_mut<T, F>(items: &mut [T], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    use rayon::prelude::*;
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("rayon pool construction");
-    pool.install(|| items.par_iter_mut().enumerate().for_each(|(i, t)| f(i, t)));
-}
-
-#[cfg(not(feature = "parallel"))]
-fn scoped_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
-    let workers = threads.min(items.len());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = f(i, &items[i]);
-                *slots[i].lock().expect("slot lock") = Some(r);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("slot lock")
-                .expect("every index was claimed exactly once")
-        })
-        .collect()
-}
-
-#[cfg(not(feature = "parallel"))]
-fn scoped_for_mut<T, F>(items: &mut [T], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
     let next = AtomicUsize::new(0);
     // Wrapping each `&mut` slot in its own Mutex keeps the claim-once
     // discipline checkable by the compiler: a worker that claimed index
@@ -214,6 +126,29 @@ mod tests {
             let mut par = base.clone();
             parallel_for_mut(&mut par, threads, |i, x| *x = *x * 7 + i as u64);
             assert_eq!(par, serial, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_item_panics_the_caller() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let items: Vec<u64> = (0..20).collect();
+        for threads in [2, 8] {
+            let mapped = catch_unwind(AssertUnwindSafe(|| {
+                parallel_map(&items, threads, |i, &x| {
+                    assert_ne!(i, 13, "item 13 fails");
+                    x
+                })
+            }));
+            assert!(mapped.is_err(), "parallel_map, threads = {threads}");
+            let mut slots = items.clone();
+            let mutated = catch_unwind(AssertUnwindSafe(|| {
+                parallel_for_mut(&mut slots, threads, |i, x| {
+                    assert_ne!(i, 13, "item 13 fails");
+                    *x += 1;
+                })
+            }));
+            assert!(mutated.is_err(), "parallel_for_mut, threads = {threads}");
         }
     }
 

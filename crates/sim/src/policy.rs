@@ -133,7 +133,7 @@ pub trait PowerPolicy {
 
     /// Stable label of the numeric profile this policy decides with, used
     /// to split decide-latency telemetry by precision/layout
-    /// (`f64_aos`, `f64_soa`, `f32_soa`, `mixed_soa`). Closed-form
+    /// (`f64_aos`, `f64_soa`, `mixed_soa`). Closed-form
     /// policies compute in plain `f64`, so the default is the reference
     /// label.
     fn solver_profile_label(&self) -> &'static str {
