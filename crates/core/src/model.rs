@@ -175,6 +175,9 @@ pub struct JobAdapter {
     /// Last cap fraction applied to this job.
     last_cap_frac: f64,
     updates: usize,
+    /// Decision epoch in which the owning policy last listed this job —
+    /// departure bookkeeping, not part of the estimate.
+    pub(crate) last_seen: u64,
 }
 
 /// Minimum `|Δφ|` that carries slope information; below this the sample
@@ -191,7 +194,24 @@ impl JobAdapter {
     /// the cap the job starts under; the observer is seeded at the model's
     /// steady state for that cap so the first predictions are sane.
     pub fn new(model: &NodeModel, initial_cap_frac: f64) -> Self {
-        let mut observer = KalmanObserver::new(model.ss.clone(), 0.05, 1e-3);
+        Self::with_observer(Self::observer_for(model), model, initial_cap_frac)
+    }
+
+    /// The unseeded observer every adapter on `model` starts from. Its
+    /// steady-state Kalman gain is a Riccati iteration over the model
+    /// alone — some 15 µs and 500 allocations, five two-job decisions'
+    /// worth — so a policy builds it once and hands each arriving job a
+    /// copy through [`Self::with_observer`].
+    pub(crate) fn observer_for(model: &NodeModel) -> KalmanObserver {
+        KalmanObserver::new(model.ss.clone(), 0.05, 1e-3)
+    }
+
+    /// [`Self::new`] from a copy of [`Self::observer_for`]`(model)`.
+    pub(crate) fn with_observer(
+        mut observer: KalmanObserver,
+        model: &NodeModel,
+        initial_cap_frac: f64,
+    ) -> Self {
         let u0 = model.curve.eval(initial_cap_frac);
         observer.seed_steady_state(u0, model.curve.eval(initial_cap_frac));
         // Prior: the job responds like the average training benchmark
@@ -208,6 +228,7 @@ impl JobAdapter {
             prev: None,
             last_cap_frac: initial_cap_frac,
             updates: 0,
+            last_seen: 0,
         }
     }
 

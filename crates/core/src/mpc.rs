@@ -1,5 +1,6 @@
 use crate::model::NodeModel;
 use crate::mpc_assembly::{assemble_dense_qp, assemble_structured_qp, AssemblyParams};
+use perq_linalg::Matrix;
 use perq_qp::{
     solve_profiled, BoxBudgetQp, ProfiledQpState, ProjGradSettings, ProjGradSolver, SolverProfile,
     StructuredQp,
@@ -105,6 +106,11 @@ pub struct MpcController {
     feedthrough: f64,
     /// Identified input offset `u₀` of the node model.
     input_offset: f64,
+    /// Free-response rows `C Aʲ`, `j = 0..M`, of the node model — the
+    /// same for every job and every decision.
+    response_rows: Matrix,
+    /// Identified output offset `y₀` of the node model.
+    output_offset: f64,
     solver: ProjGradSolver,
     profile: SolverProfile,
     recorder: Recorder,
@@ -122,6 +128,8 @@ impl Clone for MpcController {
             markov: self.markov.clone(),
             feedthrough: self.feedthrough,
             input_offset: self.input_offset,
+            response_rows: self.response_rows.clone(),
+            output_offset: self.output_offset,
             solver: self.solver.clone(),
             profile: self.profile,
             recorder: self.recorder.clone(),
@@ -135,6 +143,7 @@ impl MpcController {
     pub fn new(model: &NodeModel, settings: MpcSettings) -> Self {
         assert!(settings.horizon >= 1, "horizon must be at least 1");
         let markov = model.ss.markov_parameters(settings.horizon);
+        let response_rows = model.ss.output_response_rows(settings.horizon);
         let solver = ProjGradSolver::new(ProjGradSettings {
             max_iters: settings.max_qp_iters,
             tol: settings.qp_tol,
@@ -145,6 +154,8 @@ impl MpcController {
             markov,
             feedthrough: model.ss.feedthrough(),
             input_offset: model.ss.input_offset(),
+            response_rows,
+            output_offset: model.ss.output_offset(),
             solver,
             profile: SolverProfile::default(),
             recorder: Recorder::noop(),
@@ -205,16 +216,25 @@ impl MpcController {
     /// Free-response horizon rows `C Aʲ x̂ + y₀` for `j = 0..M` — the
     /// zero-input output trajectory from a job's state estimate; helper so
     /// callers build [`MpcJobState`] without touching the model internals.
+    /// `model` is the model the controller was built for: like the Markov
+    /// parameters, the rows `C Aʲ` are taken from it once, at construction
+    /// — building them is a matrix, a vector per power of `A` and O(M·n²)
+    /// products for a value no job and no decision changes.
     pub fn free_response(&self, model: &NodeModel, state: &[f64]) -> Vec<f64> {
-        let rows = model.ss.output_response_rows(self.settings.horizon);
+        debug_assert_eq!(
+            model.ss.output_offset().to_bits(),
+            self.output_offset.to_bits(),
+            "free_response called with a model other than the controller's"
+        );
         (0..self.settings.horizon)
             .map(|j| {
-                rows.row(j)
+                self.response_rows
+                    .row(j)
                     .iter()
                     .zip(state.iter())
                     .map(|(&a, &b)| a * b)
                     .sum::<f64>()
-                    + model.ss.output_offset()
+                    + self.output_offset
             })
             .collect()
     }

@@ -62,6 +62,8 @@ pub struct PerqPolicy {
     model: NodeModel,
     controller: MpcController,
     target_gen: TargetGenerator,
+    /// [`JobAdapter::observer_for`] the model, copied per arriving job.
+    observer: perq_sysid::KalmanObserver,
     adapters: HashMap<u64, JobAdapter>,
     /// Last decision's optimized cap trajectory per job (horizon steps),
     /// shifted one step and fed back as the next decision's FISTA warm
@@ -69,6 +71,9 @@ pub struct PerqPolicy {
     /// feedback, so this cuts solver iterations without changing what
     /// the solver converges to.
     prev_traj: HashMap<u64, Vec<f64>>,
+    /// A warm start was seeded for a job that has no adapter (yet), so
+    /// `prev_traj` may hold an id the next context does not list.
+    seeded_untracked: bool,
     dither_frac: f64,
     group_threshold: usize,
     max_groups: usize,
@@ -91,11 +96,13 @@ impl PerqPolicy {
         let mut controller = MpcController::new(&model, config.mpc.clone());
         controller.set_solver_profile(config.solver_profile);
         PerqPolicy {
+            observer: JobAdapter::observer_for(&model),
             model,
             controller,
             target_gen: TargetGenerator::new(config.improvement_ratio),
             adapters: HashMap::new(),
             prev_traj: HashMap::new(),
+            seeded_untracked: false,
             dither_frac: config.dither_frac,
             group_threshold: config.group_threshold,
             max_groups: config.max_groups,
@@ -166,6 +173,7 @@ impl PerqPolicy {
     /// whose length differs from [`Self::horizon`] are ignored at
     /// decision time.
     pub fn seed_warm_start(&mut self, job_id: u64, traj_frac: Vec<f64>) {
+        self.seeded_untracked |= !self.adapters.contains_key(&job_id);
         self.prev_traj.insert(job_id, traj_frac);
     }
 }
@@ -195,13 +203,20 @@ impl PowerPolicy for PerqPolicy {
         let cap_max = ctx.cap_max_w;
 
         // 1. Feedback: absorb last interval's measurements into the
-        //    per-job adapters; create adapters for new arrivals.
+        //    per-job adapters; create adapters for new arrivals. Each
+        //    adapter listed is stamped with this decision's epoch, which
+        //    counts the distinct live jobs as a by-product.
+        let epoch = self.step + 1;
+        let mut live = 0;
         for job in ctx.jobs {
             let cap_frac = (job.current_cap_w / cap_max).clamp(0.0, 1.0);
-            let adapter = self
-                .adapters
-                .entry(job.id)
-                .or_insert_with(|| JobAdapter::new(&self.model, cap_frac));
+            let adapter = self.adapters.entry(job.id).or_insert_with(|| {
+                JobAdapter::with_observer(self.observer.clone(), &self.model, cap_frac)
+            });
+            if adapter.last_seen != epoch {
+                adapter.last_seen = epoch;
+                live += 1;
+            }
             if let Some(ips) = job.measured_ips {
                 let ips_norm = ips / (job.size as f64 * BASE_NODE_IPS);
                 adapter.update(&self.model, cap_frac, ips_norm);
@@ -222,10 +237,18 @@ impl PowerPolicy for PerqPolicy {
                 }
             }
         }
-        self.adapters
-            .retain(|id, _| ctx.jobs.iter().any(|j| j.id == *id));
-        let adapters = &self.adapters;
-        self.prev_traj.retain(|id, _| adapters.contains_key(id));
+        // Forget jobs the context no longer lists. Every listed job has an
+        // adapter by now, so a larger map means some job left without a
+        // `job_departed` call; otherwise there is nothing to prune.
+        let departed = self.adapters.len() > live;
+        if departed {
+            self.adapters.retain(|_, a| a.last_seen == epoch);
+        }
+        if departed || self.seeded_untracked {
+            let adapters = &self.adapters;
+            self.prev_traj.retain(|id, _| adapters.contains_key(id));
+            self.seeded_untracked = false;
+        }
 
         // 2. Targets.
         let targets = self.target_gen.generate(&self.model, ctx, &self.adapters);
@@ -319,9 +342,13 @@ impl PowerPolicy for PerqPolicy {
         };
         let m = self.controller.settings().horizon;
         if decision.x.len() == ctx.jobs.len() * m {
-            for (i, job) in ctx.jobs.iter().enumerate() {
-                self.prev_traj
-                    .insert(job.id, decision.x[i * m..(i + 1) * m].to_vec());
+            // Overwritten in place: the trajectory outlives the decision, so
+            // a fresh vector per job per tick would hand memory from
+            // whichever thread decided last time to the one deciding now.
+            for (job, next) in ctx.jobs.iter().zip(decision.x.chunks_exact(m)) {
+                let traj = self.prev_traj.entry(job.id).or_default();
+                traj.clear();
+                traj.extend_from_slice(next);
             }
         }
         let mut caps = decision.caps_frac.clone();
@@ -476,6 +503,139 @@ mod tests {
         // After the run every adapter belongs to a job that was still
         // running at the window close (departures pruned).
         assert!(perq.tracked_jobs() <= 16);
+    }
+
+    #[test]
+    fn untold_departures_are_pruned_exactly_like_told_ones() {
+        // Job lists that drop, permute, re-add and even repeat ids. The
+        // `untold` policy only ever sees the lists; its twin is told of
+        // every departure first, as the simulators do. Both must track
+        // exactly the ids of the last list and decide bit-identically.
+        use perq_sim::JobView;
+        use std::collections::{BTreeMap, BTreeSet};
+        let script: [&[u64]; 10] = [
+            &[1, 2, 3, 4, 5],
+            &[1, 2, 3, 4, 5],
+            &[5, 3, 1],
+            &[5, 3, 1, 2],
+            &[2, 1],
+            &[2, 1],
+            &[6, 7, 1],
+            &[1, 1, 7],
+            &[7, 8, 9, 10],
+            &[3],
+        ];
+        let (model, _) = train_node_model(PerqConfig::default().training_seed);
+        let mut untold = PerqPolicy::with_model(model.clone(), PerqConfig::default());
+        let mut told = PerqPolicy::with_model(model, PerqConfig::default());
+        let cap_max = 290.0;
+        let mut caps: BTreeMap<u64, f64> = BTreeMap::new();
+        let mut last: BTreeSet<u64> = BTreeSet::new();
+        for (step, ids) in script.iter().enumerate() {
+            let live: BTreeSet<u64> = ids.iter().copied().collect();
+            for gone in last.difference(&live) {
+                told.job_departed(*gone);
+                caps.remove(gone);
+            }
+            // A warm start seeded for a job that never shows up must not
+            // outlive the next decision on either side.
+            untold.seed_warm_start(99, vec![0.5; untold.horizon()]);
+            told.seed_warm_start(99, vec![0.5; told.horizon()]);
+            let jobs: Vec<JobView> = ids
+                .iter()
+                .map(|&id| {
+                    let cap = *caps.get(&id).unwrap_or(&cap_max);
+                    JobView {
+                        id,
+                        size: 2,
+                        elapsed_s: step as f64 * 10.0,
+                        measured_ips: Some(2.0 * (1.0e9 + 1.0e8 * id as f64) * cap / cap_max),
+                        current_cap_w: cap,
+                        measured_power_w: Some((60.0 + 15.0 * id as f64).min(cap)),
+                        remaining_node_hours: 5.0,
+                        is_new: !last.contains(&id),
+                    }
+                })
+                .collect();
+            let ctx = perq_sim::PolicyContext {
+                time_s: step as f64 * 10.0,
+                interval_s: 10.0,
+                busy_budget_w: 0.6 * cap_max * 2.0 * jobs.len() as f64,
+                cap_min_w: 90.0,
+                cap_max_w: cap_max,
+                total_nodes: 2 * jobs.len(),
+                wp_nodes: jobs.len(),
+                queue_depth: 0,
+                violation_s: 0.0,
+                jobs: &jobs,
+            };
+            let a = untold.assign(&ctx);
+            let b = told.assign(&ctx);
+            assert_eq!(a.len(), jobs.len());
+            for ((x, y), job) in a.iter().zip(&b).zip(&jobs) {
+                assert_eq!(x.cap_w.to_bits(), y.cap_w.to_bits(), "step {step}");
+                caps.insert(job.id, x.cap_w);
+            }
+            for policy in [&untold, &told] {
+                assert_eq!(policy.tracked_jobs(), live.len(), "step {step}");
+                let tracked: BTreeSet<u64> = policy.adapters().keys().copied().collect();
+                assert_eq!(tracked, live, "step {step}");
+                let warm: BTreeSet<u64> = policy.prev_traj.keys().copied().collect();
+                assert_eq!(warm, live, "step {step}: warm-start trajectories");
+                for gone in last.difference(&live) {
+                    assert!(policy.adapter(*gone).is_none());
+                }
+            }
+            for id in &live {
+                let (x, y) = (untold.adapter(*id).unwrap(), told.adapter(*id).unwrap());
+                assert_eq!(x.updates(), y.updates(), "step {step} job {id}");
+                assert_eq!(x.gain().to_bits(), y.gain().to_bits());
+                assert_eq!(x.bias().to_bits(), y.bias().to_bits());
+                assert_eq!(x.demand_frac(), y.demand_frac());
+            }
+            last = live;
+        }
+    }
+
+    #[test]
+    fn an_arriving_job_starts_from_the_adapter_job_adapter_new_builds() {
+        // The policy copies one observer per arrival instead of solving
+        // for its gain again; with nothing measured yet, the tracked
+        // adapter must be `JobAdapter::new`'s, bit for bit.
+        use perq_sim::JobView;
+        let mut perq = PerqPolicy::new(PerqConfig::default());
+        let jobs = [JobView {
+            id: 7,
+            size: 2,
+            elapsed_s: 0.0,
+            measured_ips: None,
+            current_cap_w: 200.0,
+            measured_power_w: None,
+            remaining_node_hours: 5.0,
+            is_new: true,
+        }];
+        let ctx = perq_sim::PolicyContext {
+            time_s: 0.0,
+            interval_s: 10.0,
+            busy_budget_w: 400.0,
+            cap_min_w: 90.0,
+            cap_max_w: 290.0,
+            total_nodes: 2,
+            wp_nodes: 1,
+            queue_depth: 0,
+            violation_s: 0.0,
+            jobs: &jobs,
+        };
+        assert_eq!(perq.assign(&ctx).len(), 1);
+        let fresh = JobAdapter::new(perq.model(), 200.0 / 290.0);
+        let tracked = perq.adapter(7).expect("listed job is tracked");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(tracked.state()), bits(fresh.state()));
+        assert_eq!(tracked.gain().to_bits(), fresh.gain().to_bits());
+        assert_eq!(tracked.bias().to_bits(), fresh.bias().to_bits());
+        assert_eq!(tracked.level().to_bits(), fresh.level().to_bits());
+        assert_eq!(tracked.updates(), 0);
+        assert_eq!(tracked.demand_frac(), None);
     }
 
     #[test]

@@ -42,7 +42,8 @@ pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
-    /// Bytes of `buf` already consumed as frames; compacted lazily so
+    /// Bytes of `buf` already consumed as frames. Dropped by the next
+    /// `feed` once everything was consumed, otherwise compacted lazily so
     /// per-frame work stays amortised O(frame length).
     start: usize,
     /// Set once a corrupt length prefix has been seen; the stream has
@@ -60,9 +61,16 @@ impl FrameDecoder {
     /// surface on [`FrameDecoder::next_frame`] so partial reads can be
     /// accumulated unconditionally.
     pub fn feed(&mut self, bytes: &[u8]) {
-        // Compact once the dead prefix dominates, keeping the buffer
-        // from growing without bound on a long-lived connection.
-        if self.start > 4096 && self.start * 2 >= self.buf.len() {
+        if self.start == self.buf.len() {
+            // Everything buffered was consumed: drop the dead prefix now,
+            // so a connection whose reads carry whole frames never holds
+            // more than one read's worth of capacity.
+            self.buf.clear();
+            self.start = 0;
+        } else if self.start > 4096 && self.start * 2 >= self.buf.len() {
+            // A partial frame is pending: compact once the dead prefix
+            // dominates, keeping the buffer from growing without bound
+            // on a long-lived connection.
             self.buf.drain(..self.start);
             self.start = 0;
         }
@@ -99,9 +107,11 @@ impl FrameDecoder {
         (4 + len as usize).saturating_sub(pending.len())
     }
 
-    /// Pops the next complete payload without deserializing it, or
-    /// `None` if more bytes are needed.
-    pub fn next_payload(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
+    /// Pops the next complete payload without deserializing or copying
+    /// it — the slice points into the decoder's own buffer and is valid
+    /// until the next call that takes `&mut self` — or `None` if more
+    /// bytes are needed.
+    pub fn next_payload_ref(&mut self) -> Result<Option<&[u8]>, FrameError> {
         if let Some(n) = self.poisoned {
             return Err(FrameError::Oversized(n));
         }
@@ -117,19 +127,24 @@ impl FrameDecoder {
         if pending.len() < 4 + len as usize {
             return Ok(None);
         }
-        let payload = pending[4..4 + len as usize].to_vec();
-        self.start += 4 + len as usize;
-        Ok(Some(payload))
+        let begin = self.start + 4;
+        self.start = begin + len as usize;
+        Ok(Some(&self.buf[begin..self.start]))
     }
 
-    /// Pops and deserializes the next complete frame, or `None` if more
-    /// bytes are needed. A payload that fails to deserialize consumes
-    /// the frame (the boundary was intact) and returns
-    /// [`FrameError::Codec`].
+    /// [`FrameDecoder::next_payload_ref`], copied into an owned buffer.
+    pub fn next_payload(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
+        Ok(self.next_payload_ref()?.map(<[u8]>::to_vec))
+    }
+
+    /// Pops and deserializes the next complete frame straight out of the
+    /// decoder's buffer, or `None` if more bytes are needed. A payload
+    /// that fails to deserialize consumes the frame (the boundary was
+    /// intact) and returns [`FrameError::Codec`].
     pub fn next_frame<T: DeserializeOwned>(&mut self) -> Result<Option<T>, FrameError> {
-        match self.next_payload()? {
+        match self.next_payload_ref()? {
             None => Ok(None),
-            Some(payload) => Ok(Some(serde_json::from_slice(&payload)?)),
+            Some(payload) => Ok(Some(serde_json::from_slice(payload)?)),
         }
     }
 }
@@ -230,6 +245,25 @@ mod tests {
             assert_eq!(r.node_id, i);
         }
         assert!(dec.next_frame::<Report>().unwrap().is_none());
+    }
+
+    #[test]
+    fn consumed_bytes_are_dropped_at_the_next_feed() {
+        // A connection whose every read carries whole frames must not
+        // accumulate a dead prefix (it used to keep up to ~8 KB).
+        let frame = FrameEncoder::new().encode(&Command::Tick).unwrap();
+        let mut dec = FrameDecoder::new();
+        for _ in 0..2_000 {
+            dec.feed(&frame);
+            assert_eq!(dec.buf.len(), frame.len());
+            assert!(dec.next_payload_ref().unwrap().is_some());
+        }
+        assert!(dec.buf.capacity() < 4 * frame.len());
+        // A pending partial frame survives the reset.
+        dec.feed(&frame[..3]);
+        assert!(dec.next_payload_ref().unwrap().is_none());
+        dec.feed(&frame[3..]);
+        assert_eq!(dec.next_frame::<Command>().unwrap(), Some(Command::Tick));
     }
 
     #[test]

@@ -147,6 +147,71 @@ proptest! {
         ));
     }
 
+    /// The borrowed-payload path is the owned one minus the copy: fed
+    /// the same chunks, both yield the same payloads and the same
+    /// errors, call for call — through a poisoned prefix, and when every
+    /// feed ends exactly where a payload does.
+    #[test]
+    fn borrowed_payloads_match_owned_payloads(
+        cmds in proptest::collection::vec(arb_command(), 1..16),
+        cuts in proptest::collection::vec(1usize..64, 1..12),
+        poison_after in proptest::option::of(0usize..16),
+        over in (MAX_FRAME as u64 + 1..=u32::MAX as u64).prop_map(|v| v as u32),
+    ) {
+        let enc = FrameEncoder::new();
+        let mut wire = Vec::new();
+        let mut frame_lens = Vec::new();
+        for (i, cmd) in cmds.iter().enumerate() {
+            if poison_after == Some(i) {
+                wire.extend_from_slice(&over.to_be_bytes());
+                frame_lens.push(4);
+            }
+            let before = wire.len();
+            enc.encode_into(cmd, &mut wire).unwrap();
+            frame_lens.push(wire.len() - before);
+        }
+
+        // Arbitrary chop, then one feed per frame.
+        for chunks in [&cuts, &frame_lens] {
+            let mut owned = FrameDecoder::new();
+            let mut borrowed = FrameDecoder::new();
+            let mut seen = 0;
+            let mut pos = 0;
+            let mut k = 0;
+            while pos < wire.len() {
+                let step = chunks[k % chunks.len()].clamp(1, wire.len() - pos);
+                k += 1;
+                owned.feed(&wire[pos..pos + step]);
+                borrowed.feed(&wire[pos..pos + step]);
+                pos += step;
+                loop {
+                    let a = owned.next_payload();
+                    let b = borrowed.next_payload_ref().map(|p| p.map(<[u8]>::to_vec));
+                    match (a, b) {
+                        (Ok(Some(x)), Ok(Some(y))) => {
+                            prop_assert_eq!(&x, &y);
+                            prop_assert_eq!(&enc.encode(&cmds[seen]).unwrap()[4..], &y[..]);
+                            seen += 1;
+                        }
+                        (Ok(None), Ok(None)) => break,
+                        (Err(FrameError::Oversized(x)), Err(FrameError::Oversized(y))) => {
+                            prop_assert_eq!((x, y), (over, over));
+                            break;
+                        }
+                        (a, b) => prop_assert!(false, "owned {:?} vs borrowed {:?}", a, b),
+                    }
+                }
+                prop_assert_eq!(owned.buffered(), borrowed.buffered());
+            }
+            let good = poison_after.map_or(cmds.len(), |i| i.min(cmds.len()));
+            prop_assert_eq!(seen, good);
+            prop_assert_eq!(borrowed.next_payload_ref().is_err(), good < cmds.len());
+            if good == cmds.len() {
+                prop_assert_eq!(borrowed.buffered(), 0);
+            }
+        }
+    }
+
     /// `want()` is an exact progress oracle: feeding precisely `want()`
     /// bytes at a time walks the stream frame by frame, and `want()`
     /// hits zero exactly when a frame is decodable.

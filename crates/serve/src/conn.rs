@@ -2,6 +2,7 @@
 //! outbound queues with class-aware backpressure.
 
 use perq_proto::{FrameDecoder, FrameEncoder};
+use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -43,14 +44,19 @@ impl std::fmt::Display for ConnError {
     }
 }
 
+/// Index entry for one frame in the outbound byte buffer.
 #[derive(Debug)]
-struct Outbound {
-    bytes: Vec<u8>,
+struct Queued {
+    len: usize,
     class: FrameClass,
-    sent: usize,
 }
 
 /// One worker connection owned by the event loop.
+///
+/// Outbound frames sit back to back in one byte buffer, so everything
+/// queued since the last flush leaves in a single `write`; `index` holds
+/// one entry per frame that still has unsent bytes, which is what in-place
+/// coalescing needs to find a frame's boundaries.
 #[derive(Debug)]
 pub struct WorkerConn<Io> {
     /// The non-blocking transport.
@@ -64,8 +70,13 @@ pub struct WorkerConn<Io> {
     pub attached_tick: u64,
     decoder: FrameDecoder,
     encoder: FrameEncoder,
-    outq: VecDeque<Outbound>,
-    queued_bytes: usize,
+    /// Queued frames; `out[..sent]` is already written.
+    out: Vec<u8>,
+    sent: usize,
+    /// The frames occupying `out[sent - head_sent..]`, in order.
+    index: VecDeque<Queued>,
+    /// Bytes of the front frame already written.
+    head_sent: usize,
     max_queued_bytes: usize,
     /// Whether write interest is currently armed with the poller.
     pub want_write: bool,
@@ -83,112 +94,154 @@ impl<Io: Read + Write> WorkerConn<Io> {
             attached_tick: 0,
             decoder: FrameDecoder::new(),
             encoder: FrameEncoder::new(),
-            outq: VecDeque::new(),
-            queued_bytes: 0,
+            out: Vec::new(),
+            sent: 0,
+            index: VecDeque::new(),
+            head_sent: 0,
             max_queued_bytes,
             want_write: false,
             coalesced: 0,
         }
     }
 
-    /// Reads everything currently available and returns the complete
-    /// frame payloads. `Ok` with an empty vec means "nothing yet";
-    /// errors (including clean EOF, reported as `UnexpectedEof`) mean the
-    /// connection is dead.
-    pub fn read_ready(&mut self, scratch: &mut [u8]) -> Result<Vec<Vec<u8>>, ConnError> {
-        let mut frames = Vec::new();
+    /// Reads what is currently available and appends every complete
+    /// frame, decoded, to `frames`.
+    ///
+    /// Reading stops after a short read: the transport was empty at that
+    /// instant, and a level-triggered poller reports the connection again
+    /// if more arrives, so a second read would only return `WouldBlock`.
+    ///
+    /// An error (clean EOF is reported as `UnexpectedEof`) means the
+    /// connection is dead; frames completed before it are still in
+    /// `frames` and should be handled before the write-off.
+    pub fn read_ready<T: DeserializeOwned>(
+        &mut self,
+        scratch: &mut [u8],
+        frames: &mut Vec<T>,
+    ) -> Result<(), ConnError> {
         loop {
             match self.io.read(scratch) {
-                Ok(0) => {
-                    // Drain frames completed by earlier iterations before
-                    // surfacing the EOF; the caller writes us off either way.
-                    return Err(ConnError::Io(io::ErrorKind::UnexpectedEof.into()));
-                }
+                Ok(0) => return Err(ConnError::Io(io::ErrorKind::UnexpectedEof.into())),
                 Ok(n) => {
                     self.decoder.feed(&scratch[..n]);
-                    loop {
-                        match self.decoder.next_payload() {
-                            Ok(Some(p)) => frames.push(p),
-                            Ok(None) => break,
-                            Err(e) => return Err(ConnError::Frame(e)),
-                        }
+                    while let Some(frame) = self.decoder.next_frame().map_err(ConnError::Frame)? {
+                        frames.push(frame);
+                    }
+                    if n < scratch.len() {
+                        return Ok(());
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(frames),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(ConnError::Io(e)),
             }
         }
     }
 
-    /// Encodes and queues a frame, then opportunistically flushes.
+    /// Encodes and queues a frame without writing; [`WorkerConn::flush`]
+    /// sends everything queued in one `write`.
     ///
-    /// Returns `Ok(true)` if the queue fully drained (no write interest
-    /// needed). [`ConnError::Overflow`] is only possible for
-    /// [`FrameClass::Decision`]; an unqueueable coalescible frame is
-    /// silently superseded by whatever is already queued.
-    pub fn push<T: Serialize>(&mut self, value: &T, class: FrameClass) -> Result<bool, ConnError> {
-        let bytes = self.encoder.encode(value).map_err(ConnError::Frame)?;
-        if let FrameClass::Coalesce { key } = class {
-            // Replace an unsent frame with the same key in place.
-            if let Some(slot) = self.outq.iter_mut().find(|o| {
-                o.sent == 0 && matches!(o.class, FrameClass::Coalesce { key: k } if k == key)
-            }) {
-                self.queued_bytes = self.queued_bytes - slot.bytes.len() + bytes.len();
-                slot.bytes = bytes;
-                self.coalesced += 1;
-                return self.flush().map_err(ConnError::Io);
+    /// [`ConnError::Overflow`] is only possible for
+    /// [`FrameClass::Decision`], and only once a flush has failed to make
+    /// room; an unqueueable coalescible frame is silently superseded by
+    /// whatever is already queued.
+    pub fn queue<T: Serialize>(&mut self, value: &T, class: FrameClass) -> Result<(), ConnError> {
+        let tail = self.out.len();
+        self.encoder
+            .encode_into(value, &mut self.out)
+            .map_err(ConnError::Frame)?;
+        let len = self.out.len() - tail;
+        if matches!(class, FrameClass::Coalesce { .. }) {
+            // Replace a wholly unsent frame with the same key in place.
+            let mut start = self.sent - self.head_sent;
+            for (i, slot) in self.index.iter_mut().enumerate() {
+                if slot.class == class && (i > 0 || self.head_sent == 0) {
+                    // [old, later frames, new] -> [new, old, later frames],
+                    // then cut `old` out.
+                    self.out[start..].rotate_right(len);
+                    self.out.drain(start + len..start + len + slot.len);
+                    slot.len = len;
+                    self.coalesced += 1;
+                    return Ok(());
+                }
+                start += slot.len;
             }
         }
-        if self.queued_bytes + bytes.len() > self.max_queued_bytes {
-            return match class {
-                FrameClass::Decision => Err(ConnError::Overflow),
-                FrameClass::Coalesce { .. } => {
-                    // The bound is full of fresher-or-equal traffic; the
-                    // next tick re-sends the current value anyway.
-                    self.coalesced += 1;
-                    Ok(self.outq.is_empty())
-                }
-            };
+        if tail - self.sent + len > self.max_queued_bytes {
+            // Frames queued since the last flush have not been offered to
+            // the transport yet; do that before giving up on the bound.
+            let frame = self.out.split_off(tail);
+            self.flush().map_err(ConnError::Io)?;
+            if self.queued_bytes() + len > self.max_queued_bytes {
+                return match class {
+                    FrameClass::Decision => Err(ConnError::Overflow),
+                    FrameClass::Coalesce { .. } => {
+                        // The bound is full of fresher-or-equal traffic;
+                        // the next tick re-sends the current value anyway.
+                        self.coalesced += 1;
+                        Ok(())
+                    }
+                };
+            }
+            self.out.extend_from_slice(&frame);
         }
-        self.queued_bytes += bytes.len();
-        self.outq.push_back(Outbound {
-            bytes,
-            class,
-            sent: 0,
-        });
+        self.index.push_back(Queued { len, class });
+        Ok(())
+    }
+
+    /// [`WorkerConn::queue`], then [`WorkerConn::flush`]: `Ok(true)` if
+    /// nothing is left queued (no write interest needed).
+    pub fn push<T: Serialize>(&mut self, value: &T, class: FrameClass) -> Result<bool, ConnError> {
+        self.queue(value, class)?;
         self.flush().map_err(ConnError::Io)
     }
 
-    /// Writes queued frames until the transport blocks. `Ok(true)` when
-    /// the queue is empty afterwards.
+    /// Writes the queued bytes until the transport blocks. `Ok(true)`
+    /// when nothing is left queued afterwards.
     pub fn flush(&mut self) -> io::Result<bool> {
-        while let Some(front) = self.outq.front_mut() {
-            match self.io.write(&front.bytes[front.sent..]) {
+        while self.sent < self.out.len() {
+            match self.io.write(&self.out[self.sent..]) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) => {
-                    front.sent += n;
-                    self.queued_bytes -= n;
-                    if front.sent == front.bytes.len() {
-                        self.outq.pop_front();
+                    self.sent += n;
+                    // Retire the index entries those bytes completed.
+                    let mut done = self.head_sent + n;
+                    while let Some(front) = self.index.front() {
+                        if done < front.len {
+                            break;
+                        }
+                        done -= front.len;
+                        self.index.pop_front();
                     }
+                    self.head_sent = done;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    // Compact once the written prefix dominates, so a
+                    // consumer that never quite catches up cannot grow the
+                    // buffer without bound.
+                    if self.sent > 4096 && self.sent * 2 >= self.out.len() {
+                        self.out.drain(..self.sent - self.head_sent);
+                        self.sent = self.head_sent;
+                    }
+                    return Ok(false);
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
         }
+        self.out.clear();
+        self.sent = 0;
         Ok(true)
     }
 
     /// Whether frames are waiting to be written.
     pub fn has_backlog(&self) -> bool {
-        !self.outq.is_empty()
+        self.sent < self.out.len()
     }
 
     /// Bytes currently queued outbound.
     pub fn queued_bytes(&self) -> usize {
-        self.queued_bytes
+        self.out.len() - self.sent
     }
 }
 
@@ -202,8 +255,8 @@ mod tests {
         let mut dec = FrameDecoder::new();
         dec.feed(bytes);
         let mut out = Vec::new();
-        while let Some(p) = dec.next_payload().unwrap() {
-            out.push(serde_json::from_slice(&p).unwrap());
+        while let Some(cmd) = dec.next_frame().unwrap() {
+            out.push(cmd);
         }
         out
     }
@@ -272,10 +325,86 @@ mod tests {
         peer.write_all(&enc.encode(&Command::Tick).unwrap())
             .unwrap();
         let mut scratch = [0u8; 512];
-        let frames = conn.read_ready(&mut scratch).unwrap();
+        let mut frames: Vec<Command> = Vec::new();
+        conn.read_ready(&mut scratch, &mut frames).unwrap();
         assert_eq!(frames.len(), 1);
         peer.close();
-        let err = conn.read_ready(&mut scratch).unwrap_err();
+        let err = conn.read_ready(&mut scratch, &mut frames).unwrap_err();
         assert!(matches!(err, ConnError::Io(_)));
+    }
+
+    #[test]
+    fn frames_completed_before_eof_or_corruption_are_delivered() {
+        let enc = FrameEncoder::new();
+        let report = enc.encode(&Command::SetCap { cap_w: 120.0 }).unwrap();
+
+        // Final frame and close arrive together. A scratch buffer the
+        // frame fills exactly forces the second read that sees the EOF.
+        let (srv, mut peer) = mem_pair(4096);
+        let mut conn = WorkerConn::new(srv, 1, 4096);
+        peer.write_all(&report).unwrap();
+        peer.close();
+        let mut scratch = vec![0u8; report.len()];
+        let mut frames: Vec<Command> = Vec::new();
+        let err = conn.read_ready(&mut scratch, &mut frames).unwrap_err();
+        assert!(matches!(err, ConnError::Io(_)));
+        assert_eq!(frames, vec![Command::SetCap { cap_w: 120.0 }]);
+
+        // A corrupt length prefix behind a good frame, in one read.
+        let (srv, mut peer) = mem_pair(4096);
+        let mut conn = WorkerConn::new(srv, 1, 4096);
+        peer.write_all(&report).unwrap();
+        peer.write_all(&u32::MAX.to_be_bytes()).unwrap();
+        let mut scratch = [0u8; 512];
+        frames.clear();
+        let err = conn.read_ready(&mut scratch, &mut frames).unwrap_err();
+        assert!(matches!(err, ConnError::Frame(_)));
+        assert_eq!(frames, vec![Command::SetCap { cap_w: 120.0 }]);
+    }
+
+    #[test]
+    fn queued_frames_leave_in_one_write_and_partial_writes_keep_the_index() {
+        // SetCap + Tick queued, then flushed into a pipe that takes them
+        // whole: the peer sees both after a single write.
+        let (srv, peer) = mem_pair(4096);
+        let mut conn = WorkerConn::new(srv, 1, 4096);
+        conn.queue(
+            &Command::SetCap { cap_w: 100.0 },
+            FrameClass::Coalesce { key: 3 },
+        )
+        .unwrap();
+        conn.queue(&Command::Tick, FrameClass::Decision).unwrap();
+        let queued = conn.queued_bytes();
+        assert_eq!(peer.pending_read(), 0, "queue must not write");
+        assert!(conn.flush().unwrap());
+        assert_eq!(peer.pending_read(), queued);
+        assert_eq!(conn.queued_bytes(), 0);
+
+        // A 1-byte pipe sends the first SetCap's first byte; that frame is
+        // no longer replaceable, a second one behind it is.
+        let (srv, mut peer) = mem_pair(1);
+        let mut conn = WorkerConn::new(srv, 1, 4096);
+        for cap_w in [100.0, 110.0, 90.25] {
+            conn.push(&Command::SetCap { cap_w }, FrameClass::Coalesce { key: 3 })
+                .unwrap();
+        }
+        assert_eq!(conn.coalesced, 1);
+        conn.push(&Command::Tick, FrameClass::Decision).unwrap();
+        let mut received = Vec::new();
+        let mut buf = [0u8; 7];
+        while conn.has_backlog() || peer.pending_read() > 0 {
+            conn.flush().unwrap();
+            if let Ok(n) = peer.read(&mut buf) {
+                received.extend_from_slice(&buf[..n]);
+            }
+        }
+        assert_eq!(
+            decode_all(&received),
+            vec![
+                Command::SetCap { cap_w: 100.0 },
+                Command::SetCap { cap_w: 90.25 },
+                Command::Tick
+            ]
+        );
     }
 }

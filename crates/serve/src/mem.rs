@@ -107,9 +107,11 @@ impl Read for MemIo {
             return Err(io::ErrorKind::WouldBlock.into());
         }
         let n = rx.data.len().min(buf.len());
-        for slot in buf.iter_mut().take(n) {
-            *slot = rx.data.pop_front().expect("len checked");
-        }
+        let (head, tail) = rx.data.as_slices();
+        let from_head = head.len().min(n);
+        buf[..from_head].copy_from_slice(&head[..from_head]);
+        buf[from_head..n].copy_from_slice(&tail[..n - from_head]);
+        rx.data.drain(..n);
         Ok(n)
     }
 }
@@ -125,7 +127,7 @@ impl Write for MemIo {
             return Err(io::ErrorKind::WouldBlock.into());
         }
         let n = space.min(buf.len());
-        tx.data.extend(buf.iter().take(n).copied());
+        tx.data.extend(&buf[..n]);
         Ok(n)
     }
 
@@ -228,29 +230,17 @@ impl Poller for MemPoller {
         };
         // Scan in token order starting past the previous batch's cursor so
         // a small batch size cannot starve high-numbered tokens.
-        let mut ready: Vec<PollEvent> = Vec::new();
-        for (&token, io) in self.registry.range(self.cursor + 1..) {
-            if ready.len() >= limit {
+        let after = self.registry.range(self.cursor + 1..);
+        let wrapped = self.registry.range(..=self.cursor);
+        for (&token, io) in after.chain(wrapped) {
+            if out.len() >= limit {
                 break;
             }
-            if let Some(ev) = self.readiness(token, io) {
-                ready.push(ev);
-            }
+            out.extend(self.readiness(token, io));
         }
-        if ready.len() < limit {
-            for (&token, io) in self.registry.range(..=self.cursor) {
-                if ready.len() >= limit {
-                    break;
-                }
-                if let Some(ev) = self.readiness(token, io) {
-                    ready.push(ev);
-                }
-            }
-        }
-        if let Some(last) = ready.last() {
+        if let Some(last) = out.last() {
             self.cursor = last.token;
         }
-        out.extend(ready);
         Ok(())
     }
 }

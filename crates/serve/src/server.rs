@@ -134,6 +134,18 @@ pub struct Server<P: Poller> {
     /// Wall-clock engine telemetry (tick/decide latency, backpressure).
     engine: Recorder,
     scratch: Vec<u8>,
+    /// Reused across pumps: the poller's ready list and one connection's
+    /// decoded reports.
+    events: Vec<PollEvent>,
+    reports: Vec<Report>,
+}
+
+/// Inbound traffic of one [`Server::pump`], added to the recorder once
+/// per pump instead of once per frame.
+#[derive(Default)]
+struct Inbound {
+    frames: u64,
+    reports: u64,
 }
 
 impl<P: Poller> Server<P> {
@@ -170,6 +182,8 @@ impl<P: Poller> Server<P> {
             rec,
             engine,
             scratch: vec![0u8; 16 * 1024],
+            events: Vec::new(),
+            reports: Vec::new(),
         }
     }
 
@@ -242,15 +256,15 @@ impl<P: Poller> Server<P> {
     /// caller; `handled` counts the ones it serviced itself, so harnesses
     /// can pump to quiescence even under a small poll batch.
     pub fn pump(&mut self, timeout: Option<Duration>) -> io::Result<PumpOutcome> {
-        let mut events = Vec::new();
-        self.poller.poll(&mut events, timeout)?;
-        let mut outcome = PumpOutcome {
-            handled: 0,
-            unclaimed: Vec::new(),
-        };
-        for ev in events {
-            if self.conns.contains_key(&ev.token) {
-                self.worker_event(ev);
+        let mut events = std::mem::take(&mut self.events);
+        if let Err(e) = self.poller.poll(&mut events, timeout) {
+            self.events = events;
+            return Err(e);
+        }
+        let mut outcome = PumpOutcome::default();
+        let mut inbound = Inbound::default();
+        for &ev in &events {
+            if self.worker_event(ev, &mut inbound) {
                 outcome.handled += 1;
             } else if self.https.contains_key(&ev.token) {
                 self.http_event(ev);
@@ -259,70 +273,99 @@ impl<P: Poller> Server<P> {
                 outcome.unclaimed.push(ev);
             }
         }
+        self.events = events;
+        // Harnesses read these between pumps, so they are current again
+        // by the time `pump` returns.
+        if inbound.frames > 0 {
+            self.rec
+                .counter_add("perq_serve_frames_recv_total", inbound.frames);
+        }
+        if inbound.reports > 0 {
+            self.rec
+                .counter_add("perq_serve_reports_total", inbound.reports);
+        }
         Ok(outcome)
     }
 
-    fn worker_event(&mut self, ev: PollEvent) {
+    /// Services one ready worker connection; `false` if the token is not
+    /// a worker's.
+    fn worker_event(&mut self, ev: PollEvent, inbound: &mut Inbound) -> bool {
+        let Some(conn) = self.conns.get_mut(&ev.token) else {
+            return false;
+        };
         if ev.readable || ev.hangup {
-            let frames = {
-                let conn = self.conns.get_mut(&ev.token).expect("checked by pump");
-                conn.read_ready(&mut self.scratch)
-            };
-            match frames {
-                Ok(frames) => {
-                    for payload in frames {
-                        if !self.on_worker_frame(ev.token, &payload) {
-                            return; // connection written off mid-batch
-                        }
-                    }
-                }
+            let mut reports = std::mem::take(&mut self.reports);
+            reports.clear();
+            let read = conn.read_ready(&mut self.scratch, &mut reports);
+            let node_id = conn.node_id;
+            // Frames completed before an EOF or a corrupt frame still count.
+            let alive = self.on_reports(ev.token, node_id, &reports, inbound);
+            self.reports = reports;
+            if !alive {
+                return true; // written off mid-batch
+            }
+            match read {
+                Ok(()) => {}
                 Err(ConnError::Frame(_)) => {
                     self.write_off(ev.token, "corrupt-frame");
-                    return;
+                    return true;
                 }
                 Err(_) => {
                     self.write_off(ev.token, "peer-gone");
-                    return;
+                    return true;
                 }
             }
         }
         if ev.writable {
             self.flush_worker(ev.token);
         }
+        true
     }
 
-    /// Handles one inbound frame; returns `false` if the connection died.
-    fn on_worker_frame(&mut self, token: usize, payload: &[u8]) -> bool {
-        let report: Report = match serde_json::from_slice(payload) {
-            Ok(r) => r,
-            Err(_) => {
-                self.write_off(token, "corrupt-frame");
-                return false;
+    /// Handles the reports one connection delivered in one read; returns
+    /// `false` if the connection died. `node_id` is the connection's
+    /// registration, if it has one.
+    fn on_reports(
+        &mut self,
+        token: usize,
+        node_id: Option<u32>,
+        reports: &[Report],
+        inbound: &mut Inbound,
+    ) -> bool {
+        let mut reports = reports.iter();
+        let node_id = match node_id {
+            Some(id) => id,
+            None => {
+                // The first report on a connection is its registration.
+                let Some(first) = reports.next() else {
+                    return true;
+                };
+                inbound.frames += 1;
+                if !self.register_worker(token, first) {
+                    return false;
+                }
+                first.node_id
             }
         };
-        self.rec.counter_inc("perq_serve_frames_recv_total");
-        let registered = self.conns.get(&token).and_then(|c| c.node_id).is_some();
-        if !registered {
-            return self.register_worker(token, &report);
-        }
-        let node_id = self.conns[&token].node_id.expect("registered");
-        if report.node_id != node_id {
-            self.write_off(token, "node-id-mismatch");
-            return false;
-        }
-        let ticks = self.ticks;
-        if let Some(n) = self.nodes.get_mut(&node_id) {
-            if n.batched {
-                // A delayed report from an earlier interval was superseded.
-                self.engine
-                    .counter_inc("perq_serve_reports_superseded_total");
+        for report in reports {
+            inbound.frames += 1;
+            if report.node_id != node_id {
+                self.write_off(token, "node-id-mismatch");
+                return false;
             }
-            n.last_ips = Some(report.ips);
-            n.last_power_w = Some(report.power_w);
-            n.batched = true;
-            n.last_report_tick = ticks;
+            if let Some(n) = self.nodes.get_mut(&node_id) {
+                if n.batched {
+                    // A delayed report from an earlier interval was superseded.
+                    self.engine
+                        .counter_inc("perq_serve_reports_superseded_total");
+                }
+                n.last_ips = Some(report.ips);
+                n.last_power_w = Some(report.power_w);
+                n.batched = true;
+                n.last_report_tick = self.ticks;
+            }
+            inbound.reports += 1;
         }
-        self.rec.counter_inc("perq_serve_reports_total");
         true
     }
 
@@ -364,49 +407,50 @@ impl<P: Poller> Server<P> {
         self.send_to(token, &launch, FrameClass::Decision)
     }
 
-    /// Queues a frame on a worker connection, arming write interest or
-    /// writing the connection off as needed. Returns `false` if the
-    /// connection died.
+    /// Queues a frame on a worker connection and writes it, arming write
+    /// interest or writing the connection off as needed. Returns `false`
+    /// if the connection died.
     fn send_to(&mut self, token: usize, cmd: &Command, class: FrameClass) -> bool {
-        let result = match self.conns.get_mut(&token) {
-            Some(conn) => conn.push(cmd, class),
-            None => return false,
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return false;
         };
-        match result {
+        match conn.push(cmd, class) {
             Ok(drained) => {
-                self.update_write_interest(token, !drained);
+                Self::set_write_interest(&mut self.poller, conn, !drained);
                 true
             }
-            Err(ConnError::Overflow) => {
-                self.engine
-                    .counter_inc("perq_serve_decision_overflows_total");
-                self.write_off(token, "decision-overflow");
+            Err(e) => {
+                self.send_failed(token, &e);
                 false
             }
-            Err(_) => {
-                self.write_off(token, "peer-gone");
-                false
-            }
+        }
+    }
+
+    /// Writes a connection off for a failed send.
+    fn send_failed(&mut self, token: usize, err: &ConnError) {
+        if matches!(err, ConnError::Overflow) {
+            self.engine
+                .counter_inc("perq_serve_decision_overflows_total");
+            self.write_off(token, "decision-overflow");
+        } else {
+            self.write_off(token, "peer-gone");
         }
     }
 
     fn flush_worker(&mut self, token: usize) {
-        let flushed = match self.conns.get_mut(&token) {
-            Some(conn) => conn.flush(),
-            None => return,
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
         };
-        match flushed {
-            Ok(drained) => self.update_write_interest(token, !drained),
+        match conn.flush() {
+            Ok(drained) => Self::set_write_interest(&mut self.poller, conn, !drained),
             Err(_) => self.write_off(token, "peer-gone"),
         }
     }
 
-    fn update_write_interest(&mut self, token: usize, want: bool) {
-        if let Some(conn) = self.conns.get_mut(&token) {
-            if conn.want_write != want {
-                conn.want_write = want;
-                let _ = self.poller.set_write_interest(&conn.io, token, want);
-            }
+    fn set_write_interest(poller: &mut P, conn: &mut WorkerConn<P::Io>, want: bool) {
+        if conn.want_write != want {
+            conn.want_write = want;
+            let _ = poller.set_write_interest(&conn.io, conn.token, want);
         }
     }
 
@@ -541,32 +585,38 @@ impl<P: Poller> Server<P> {
                 vec![fair; views.len()]
             };
 
-            // Fan out. Collect first: pushing borrows the connections.
-            let plan: Vec<(u32, usize, f64, bool)> = self
-                .nodes
-                .iter()
-                .zip(caps.iter())
-                .map(|((&id, n), &cap)| (id, n.token, cap, (cap - n.cap_w).abs() > 1e-9))
-                .collect();
+            // Fan out: per worker, queue `SetCap` (if the cap moved) and
+            // `Tick`, then send both in one write. Failed sends are
+            // written off after the pass, in node order.
             let mut setcaps = 0u64;
-            for &(node_id, token, cap, changed) in &plan {
-                if changed {
-                    if !self.send_to(
-                        token,
-                        &Command::SetCap { cap_w: cap },
-                        FrameClass::Coalesce { key: node_id },
-                    ) {
-                        continue;
-                    }
-                    setcaps += 1;
-                }
-                if !self.send_to(token, &Command::Tick, FrameClass::Decision) {
+            let mut failed: Vec<(usize, ConnError)> = Vec::new();
+            for ((&node_id, n), &cap) in self.nodes.iter_mut().zip(caps.iter()) {
+                let Some(conn) = self.conns.get_mut(&n.token) else {
                     continue;
+                };
+                let changed = (cap - n.cap_w).abs() > 1e-9;
+                let sent = (|| {
+                    if changed {
+                        conn.queue(
+                            &Command::SetCap { cap_w: cap },
+                            FrameClass::Coalesce { key: node_id },
+                        )?;
+                    }
+                    conn.queue(&Command::Tick, FrameClass::Decision)?;
+                    conn.flush().map_err(ConnError::Io)
+                })();
+                match sent {
+                    Ok(drained) => {
+                        Self::set_write_interest(&mut self.poller, conn, !drained);
+                        setcaps += u64::from(changed);
+                        n.cap_w = cap;
+                        n.batched = false;
+                    }
+                    Err(e) => failed.push((n.token, e)),
                 }
-                if let Some(n) = self.nodes.get_mut(&node_id) {
-                    n.cap_w = cap;
-                    n.batched = false;
-                }
+            }
+            for (token, err) in failed {
+                self.send_failed(token, &err);
             }
             self.rec.counter_add("perq_serve_setcaps_total", setcaps);
         }

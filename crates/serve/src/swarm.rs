@@ -150,16 +150,9 @@ impl<Io: Read + Write> SwarmWorker<Io> {
                     progressed = true;
                     self.decoder.feed(&scratch[..n]);
                     loop {
-                        let payload = match self.decoder.next_payload() {
-                            Ok(Some(p)) => p,
+                        let cmd: Command = match self.decoder.next_frame() {
+                            Ok(Some(c)) => c,
                             Ok(None) => break,
-                            Err(_) => {
-                                self.finished = Some(SwarmStatus::Dead);
-                                return SwarmStatus::Dead;
-                            }
-                        };
-                        let cmd: Command = match serde_json::from_slice(&payload) {
-                            Ok(c) => c,
                             Err(_) => {
                                 self.finished = Some(SwarmStatus::Dead);
                                 return SwarmStatus::Dead;

@@ -5,13 +5,16 @@
 //! determinism tests assert, across repeated runs *and* across poller
 //! batch sizes.
 
-use perq_proto::FaultyTransport;
+use perq_proto::{Command, FaultyTransport, FrameDecoder, FrameEncoder};
 use perq_serve::{
-    make_policy, mem_pair, MemIo, MemPoller, ServeConfig, Server, SwarmStatus, SwarmWorker,
+    make_policy, mem_pair, MemIo, MemPoller, PollEvent, Poller, ServeConfig, Server, SwarmStatus,
+    SwarmWorker,
 };
-use perq_telemetry::{parse_prometheus, validate_prometheus, Recorder};
+use perq_telemetry::{parse_prometheus, validate_prometheus, Recorder, WallClock};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
+use std::rc::Rc;
 use std::time::Duration;
 
 const PIPE_CAP: usize = 256 * 1024;
@@ -350,5 +353,391 @@ fn workers_shut_down_cleanly_on_request() {
     settle(&mut rig);
     for w in &rig.workers {
         assert_eq!(w.finished(), Some(SwarmStatus::Shutdown));
+    }
+}
+
+/// I/O calls the server made on its ends of the worker pipes.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct IoCounts {
+    reads_ok: u64,
+    reads_wouldblock: u64,
+    writes: u64,
+}
+
+/// The server's end of a pipe, counting every call.
+struct CountingIo {
+    inner: MemIo,
+    counts: Rc<RefCell<IoCounts>>,
+}
+
+impl Read for CountingIo {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let result = self.inner.read(buf);
+        let mut c = self.counts.borrow_mut();
+        match &result {
+            Ok(n) if *n > 0 => c.reads_ok += 1,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => c.reads_wouldblock += 1,
+            _ => {}
+        }
+        result
+    }
+}
+
+impl Write for CountingIo {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.counts.borrow_mut().writes += 1;
+        self.inner.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// `MemPoller` over [`CountingIo`] ends.
+struct CountingPoller(MemPoller);
+
+impl Poller for CountingPoller {
+    type Io = CountingIo;
+
+    fn register(&mut self, io: &CountingIo, token: usize) -> io::Result<()> {
+        self.0.register(&io.inner, token)
+    }
+
+    fn set_write_interest(&mut self, io: &CountingIo, token: usize, on: bool) -> io::Result<()> {
+        self.0.set_write_interest(&io.inner, token, on)
+    }
+
+    fn deregister(&mut self, io: &CountingIo, token: usize) -> io::Result<()> {
+        self.0.deregister(&io.inner, token)
+    }
+
+    fn poll(&mut self, out: &mut Vec<PollEvent>, timeout: Option<Duration>) -> io::Result<()> {
+        self.0.poll(out, timeout)
+    }
+}
+
+/// The worker's end of a pipe, keeping a copy of every byte it reads.
+struct TapIo {
+    inner: MemIo,
+    seen: Rc<RefCell<Vec<u8>>>,
+}
+
+impl Read for TapIo {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.seen.borrow_mut().extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+}
+
+impl Write for TapIo {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.inner.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A server whose worker-side I/O is counted, and workers whose inbound
+/// bytes are tapped.
+struct CountedRig {
+    server: Server<CountingPoller>,
+    workers: Vec<SwarmWorker<TapIo>>,
+    taps: Vec<Rc<RefCell<Vec<u8>>>>,
+    counts: Rc<RefCell<IoCounts>>,
+    scratch: Vec<u8>,
+}
+
+fn counted_rig(
+    nodes: u32,
+    batch: usize,
+    pipe_cap: usize,
+    policy: &str,
+    cfg: ServeConfig,
+) -> CountedRig {
+    let counts = Rc::new(RefCell::new(IoCounts::default()));
+    let mut rig = CountedRig {
+        server: Server::with_recorders(
+            CountingPoller(MemPoller::new(batch)),
+            cfg,
+            make_policy(policy).unwrap(),
+            Recorder::manual(),
+            Recorder::with_clock(Box::new(WallClock::new())),
+        ),
+        workers: Vec::new(),
+        taps: Vec::new(),
+        counts: Rc::clone(&counts),
+        scratch: vec![0u8; 16 * 1024],
+    };
+    for node_id in 0..nodes {
+        let (server_io, worker_io) = mem_pair(pipe_cap);
+        rig.server
+            .attach_worker(CountingIo {
+                inner: server_io,
+                counts: Rc::clone(&counts),
+            })
+            .unwrap();
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        rig.taps.push(Rc::clone(&seen));
+        rig.workers.push(SwarmWorker::new(
+            node_id,
+            perq_apps::ecp_suite(),
+            1.0,
+            42,
+            TapIo {
+                inner: worker_io,
+                seen,
+            },
+        ));
+    }
+    rig
+}
+
+impl CountedRig {
+    /// Pumps the server, and steps the workers unless `stalled`, until
+    /// nothing moves.
+    fn settle(&mut self, stalled: bool) {
+        for _ in 0..100_000 {
+            let mut any = self.server.pump(Some(Duration::ZERO)).unwrap().handled > 0;
+            if !stalled {
+                for w in self.workers.iter_mut() {
+                    any |= w.step(&mut self.scratch) == SwarmStatus::Progress;
+                }
+            }
+            if !any {
+                return;
+            }
+        }
+        panic!("counted rig failed to quiesce");
+    }
+
+    /// Sets the budget through the admin endpoint.
+    fn set_budget(&mut self, watts: u32) {
+        let (server_io, mut client) = mem_pair(PIPE_CAP);
+        self.server
+            .attach_http(CountingIo {
+                inner: server_io,
+                counts: Rc::new(RefCell::new(IoCounts::default())),
+            })
+            .unwrap();
+        let body = format!("watts={watts}");
+        write!(
+            client,
+            "POST /admin/budget HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .unwrap();
+        self.server.pump(Some(Duration::ZERO)).unwrap();
+        assert!((self.server.budget_w() - f64::from(watts)).abs() < 1e-12);
+    }
+
+    /// Takes what worker `i` has read since the last call, as commands;
+    /// the bytes must be exactly those commands' encodings.
+    fn take_commands(&self, i: usize) -> Vec<Command> {
+        let bytes = std::mem::take(&mut *self.taps[i].borrow_mut());
+        let mut dec = FrameDecoder::new();
+        dec.feed(&bytes);
+        let mut cmds = Vec::new();
+        let mut reencoded = Vec::new();
+        while let Some(cmd) = dec.next_frame::<Command>().unwrap() {
+            FrameEncoder::new()
+                .encode_into(&cmd, &mut reencoded)
+                .unwrap();
+            cmds.push(cmd);
+        }
+        assert_eq!(dec.buffered(), 0, "worker {i} read a partial frame");
+        assert_eq!(
+            reencoded, bytes,
+            "worker {i}: bytes differ from the codec's"
+        );
+        cmds
+    }
+}
+
+#[test]
+fn steady_state_round_costs_one_read_and_one_write_per_worker() {
+    const NODES: u32 = 6;
+    let mut caps_by_batch = Vec::new();
+    for batch in [0, 3, 1024] {
+        // Half the nodes' worth of budget, so PERQ's caps bind and its
+        // dither moves every cap every tick.
+        let cfg = ServeConfig {
+            wp_nodes: 3,
+            ..ServeConfig::default()
+        };
+        let mut rig = counted_rig(NODES, batch, PIPE_CAP, "perq", cfg);
+        for _ in 0..6 {
+            rig.settle(false);
+            rig.server.tick();
+        }
+        rig.settle(false);
+        let mut caps = Vec::new();
+        for round in 0..10 {
+            for i in 0..NODES as usize {
+                rig.take_commands(i);
+            }
+            let before = *rig.counts.borrow();
+            rig.server.tick();
+            rig.settle(false);
+            let after = *rig.counts.borrow();
+            assert_eq!(
+                (
+                    after.reads_ok - before.reads_ok,
+                    after.reads_wouldblock - before.reads_wouldblock,
+                    after.writes - before.writes,
+                ),
+                (u64::from(NODES), 0, u64::from(NODES)),
+                "batch {batch} round {round}: reads, WouldBlock reads, writes"
+            );
+            let mut sum = 0.0;
+            for i in 0..NODES as usize {
+                match rig.take_commands(i)[..] {
+                    [Command::SetCap { cap_w }, Command::Tick] => {
+                        sum += cap_w;
+                        caps.push(cap_w);
+                    }
+                    ref other => panic!("worker {i} round {round}: received {other:?}"),
+                }
+            }
+            let prom = rig.server.recorder().export_prometheus();
+            assert!((gauge(&prom, "perq_serve_caps_w") - sum).abs() < 1e-9);
+        }
+        assert_eq!(rig.server.live_nodes(), NODES as usize);
+        caps_by_batch.push(caps);
+    }
+    assert_eq!(caps_by_batch[0], caps_by_batch[1], "batch=3 diverged");
+    assert_eq!(caps_by_batch[0], caps_by_batch[2], "batch=1024 diverged");
+}
+
+#[test]
+fn one_byte_pipe_coalesces_setcaps_keeps_every_tick_and_overflows_into_a_writeoff() {
+    // A worker that stops reading behind a 1-byte pipe, under FOP with
+    // the budget moved before every tick so each tick has a new cap.
+    let cfg = ServeConfig {
+        heartbeat_ticks: 1_000,
+        max_queued_bytes: 4096,
+        ..ServeConfig::default()
+    };
+    let mut rig = counted_rig(1, 0, 1, "fop", cfg.clone());
+    rig.settle(false);
+    rig.server.tick(); // 2320 W over one node: TDP, no SetCap
+    rig.settle(false);
+    assert!(matches!(
+        rig.take_commands(0)[..],
+        [Command::Launch { .. }, Command::Tick]
+    ));
+    for watts in [200, 150, 120] {
+        rig.set_budget(watts);
+        rig.server.tick();
+        rig.settle(true);
+    }
+    // The first SetCap's first byte is in the pipe, so 150 W had to queue
+    // behind it, and 120 W replaced 150 W in place. No Tick was dropped.
+    rig.settle(false);
+    assert_eq!(
+        rig.take_commands(0),
+        vec![
+            Command::SetCap { cap_w: 200.0 },
+            Command::Tick,
+            Command::SetCap { cap_w: 120.0 },
+            Command::Tick,
+            Command::Tick,
+        ]
+    );
+    assert_eq!(rig.server.live_nodes(), 1);
+
+    // The same stall under a bound that holds three frames: the Tick that
+    // no longer fits writes the connection off.
+    let mut rig = counted_rig(
+        1,
+        0,
+        1,
+        "fop",
+        ServeConfig {
+            max_queued_bytes: 64,
+            ..cfg
+        },
+    );
+    rig.settle(false);
+    rig.server.tick();
+    rig.settle(false);
+    let mut ticks_queued = 0;
+    for watts in [200, 150, 120, 110, 100] {
+        if rig.server.live_nodes() == 0 {
+            break;
+        }
+        rig.set_budget(watts);
+        rig.server.tick();
+        rig.settle(true);
+        ticks_queued += 1;
+    }
+    assert_eq!(
+        rig.server.live_nodes(),
+        0,
+        "overflow must write the worker off"
+    );
+    assert!(
+        ticks_queued >= 2,
+        "the bound holds at least one SetCap and Tick"
+    );
+    assert!(rig
+        .server
+        .recorder()
+        .export_jsonl()
+        .contains("decision-overflow"));
+    let engine = rig.server.engine_recorder();
+    assert_eq!(
+        engine.counter_value("perq_serve_decision_overflows_total"),
+        1
+    );
+    assert!(engine.counter_value("perq_serve_caps_coalesced_total") >= 1);
+}
+
+#[test]
+fn reports_ahead_of_a_close_or_a_corrupt_prefix_count_before_the_writeoff() {
+    let enc = FrameEncoder::new();
+    let report = |ips: f64| {
+        let r = perq_proto::Report {
+            node_id: 0,
+            job_id: Some(1),
+            ips,
+            power_w: 150.0,
+            job_done: false,
+        };
+        enc.encode(&r).unwrap()
+    };
+    for (tail, reason) in [
+        (None, "peer-gone"),
+        (Some(u32::MAX.to_be_bytes()), "corrupt-frame"),
+    ] {
+        let mut server = Server::with_recorders(
+            MemPoller::new(0),
+            ServeConfig::default(),
+            make_policy("fop").unwrap(),
+            Recorder::manual(),
+            Recorder::noop(),
+        );
+        let (server_io, mut peer) = mem_pair(PIPE_CAP);
+        server.attach_worker(server_io).unwrap();
+        peer.write_all(&report(0.0)).unwrap(); // registration
+        server.pump(Some(Duration::ZERO)).unwrap();
+        assert_eq!(server.live_nodes(), 1);
+
+        // The worker's last report and the end of its stream arrive
+        // between two pumps.
+        peer.write_all(&report(1.5e9)).unwrap();
+        match tail {
+            Some(garbage) => peer.write_all(&garbage).unwrap(),
+            None => peer.close(),
+        }
+        while server.pump(Some(Duration::ZERO)).unwrap().handled > 0 {}
+        let rec = server.recorder();
+        assert_eq!(rec.counter_value("perq_serve_reports_total"), 1, "{reason}");
+        assert_eq!(rec.counter_value("perq_serve_frames_recv_total"), 2);
+        assert_eq!(server.live_nodes(), 0);
+        assert!(rec.export_jsonl().contains(reason));
     }
 }
