@@ -8,13 +8,9 @@
 //! - Default (criterion): `cargo bench --bench gym_zoo` times single
 //!   zoo episodes per policy.
 //! - Snapshot: `cargo bench --bench gym_zoo -- --snapshot` runs the
-//!   full 5 × 5 grid at 1/2/4 campaign threads, asserts the results are
+//!   full 4 × 5 grid at 1/2/4 campaign threads, asserts the results are
 //!   byte-identical across thread counts, and writes `BENCH_gym.json`
 //!   at the repo root (the committed artifact).
-//!
-//! The snapshot also records the PR's acceptance gate: the
-//! ZOO-HYBRID − ZOO-PERQ completed-job differential per regime, which
-//! must be non-negative on at least three of the five regimes.
 
 use criterion::{criterion_group, Criterion};
 use perq_campaign::{ablation_table, run_campaign, zoo_ablation_grid, CampaignOptions};
@@ -116,16 +112,6 @@ fn snapshot() {
     let (_, _, table) = serial.expect("at least one thread count ran");
 
     print!("{}", table.render());
-    let differential = table.compare("ZOO-HYBRID", "ZOO-PERQ");
-    let matched = differential.iter().filter(|(_, d)| *d >= 0).count();
-    println!("\nZOO-HYBRID vs ZOO-PERQ (completed-job differential per regime):");
-    for (regime, diff) in &differential {
-        println!("  {regime:<22} {diff:+}");
-    }
-    assert!(
-        matched >= 3,
-        "acceptance gate: hybrid must match or beat plain PERQ on >= 3 of 5 regimes, got {matched}"
-    );
 
     let cell_rows: Vec<String> = table
         .cells
@@ -138,29 +124,20 @@ fn snapshot() {
             )
         })
         .collect();
-    let diff_rows: Vec<String> = differential
-        .iter()
-        .map(|(regime, diff)| {
-            format!("{{\"regime\": \"{regime}\", \"hybrid_minus_perq\": {diff}}}")
-        })
-        .collect();
 
     // Hand-formatted JSON so the snapshot also runs in minimal
     // environments where serde_json is stubbed out.
     let doc = format!(
-        "{{\n  \"bench\": \"gym_zoo\",\n  \"description\": \"Policy-zoo ablation: five perq-gym \
-         policies (fair-share, greedy, tabular-Q bandit, wrapped PERQ, RLS-forecast hybrid) \
+        "{{\n  \"bench\": \"gym_zoo\",\n  \"description\": \"Policy-zoo ablation: four perq-gym \
+         policies (fair-share, greedy, tabular-Q bandit, wrapped PERQ) \
          crossed with five evaluation regimes (sparse Mira, dense Tardis, SWF replay, \
          carbon-diurnal budget, adversarial telemetry), run on the deterministic campaign \
          engine. Results are asserted byte-identical at 1/2/4 worker threads before anything \
          is recorded; regenerate with cargo bench --bench gym_zoo -- --snapshot (or inspect \
          live with perq zoo).\",\n  \"host_cores\": {host_cores},\n  \"seed\": {SEED},\n  \
-         \"acceptance\": \"hybrid_minus_perq >= 0 on at least 3 of 5 regimes ({matched}/5 in \
-         this snapshot)\",\n  \"wall\": [\n    {}\n  ],\n  \"cells\": [\n    {}\n  ],\n  \
-         \"hybrid_vs_perq\": [\n    {}\n  ]\n}}\n",
+         \"wall\": [\n    {}\n  ],\n  \"cells\": [\n    {}\n  ]\n}}\n",
         wall_rows.join(",\n    "),
-        cell_rows.join(",\n    "),
-        diff_rows.join(",\n    ")
+        cell_rows.join(",\n    ")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gym.json");
     std::fs::write(path, doc).unwrap();

@@ -19,8 +19,7 @@ use perq_bench::timing::wall_s;
 use perq_core::CouplingAuthority;
 use perq_sim::{
     parallel_for_mut, BudgetAuthority, ClusterConfig, EnclaveDemand, FairPolicy, GrantContext,
-    HierResult, HierSim, HierTopology, JobSpec, PowerPolicy, SimEngine, SystemModel,
-    TraceGenerator,
+    HierResult, HierSim, HierTopology, JobSpec, PowerPolicy, SystemModel, TraceGenerator,
 };
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -50,7 +49,6 @@ fn run_wide(config: &ClusterConfig, jobs: &[JobSpec], threads: usize) -> HierRes
         HierTopology::enclaves(64),
         policies,
     )
-    .with_engine(SimEngine::Step)
     .with_threads(threads)
     .run()
 }

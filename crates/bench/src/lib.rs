@@ -107,6 +107,34 @@ pub mod timing {
     }
 }
 
+/// Where and with what a `BENCH_*.json` snapshot was recorded, as
+/// top-level JSON object members, one per line:
+/// `"host_cores": N, "rustc": "...", "deps": "..."`.
+/// `deps` is `registry` when the locked `rand` carries a crates.io
+/// checksum and `stand-ins` when it does not (a directory source —
+/// the offline recipe — has none): stand-in `rand` draws different
+/// numbers, so rows recorded under the two are not comparable.
+pub fn snapshot_header() -> String {
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let rustc = std::process::Command::new("rustc")
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |v| v.trim().to_string());
+    let lock = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../Cargo.lock"))
+        .unwrap_or_default();
+    let deps = match lock
+        .split("[[package]]")
+        .find(|p| p.contains("name = \"rand\""))
+    {
+        Some(p) if p.contains("checksum") => "registry",
+        Some(_) => "stand-ins",
+        None => "unknown",
+    };
+    format!("\"host_cores\": {host_cores},\n  \"rustc\": \"{rustc}\",\n  \"deps\": \"{deps}\"")
+}
+
 /// One row of a Fig. 6/7-style table.
 #[derive(Debug, Clone)]
 pub struct PolicyRow {

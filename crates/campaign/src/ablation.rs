@@ -1,4 +1,4 @@
-//! The policy-zoo ablation: every zoo citizen crossed with the five
+//! The policy-zoo ablation: the four zoo citizens crossed with the five
 //! evaluation regimes, as one deterministic campaign grid.
 //!
 //! The regimes span the axes the paper's evaluation varies one at a
@@ -6,7 +6,8 @@
 //! shape, telemetry trust:
 //!
 //! 1. `sparse-mira` — Mira-calibrated jobs on the large machine with a
-//!    draining queue (the event engine's sparse regime).
+//!    draining queue (the sparse regime, where most intervals are
+//!    idle and skipped).
 //! 2. `dense-tardis` — the saturated paper queue on the small dense
 //!    testbed.
 //! 3. `swf-replay` — a real SWF log replayed with its arrival gaps
@@ -24,7 +25,7 @@
 
 use crate::{FaultSpec, PolicySpec, Scenario, ScenarioOutcome, SwfReplayOptions, WorkloadSpec};
 use perq_gym::ZooSpec;
-use perq_sim::{BudgetSchedule, FaultRates, JobOutcome, SimEngine, SystemModel};
+use perq_sim::{BudgetSchedule, FaultRates, JobOutcome, SystemModel};
 use serde::{Deserialize, Serialize};
 
 /// The zoo arms the ablation compares, in table order.
@@ -34,7 +35,6 @@ pub fn ablation_policies(seed: u64) -> Vec<PolicySpec> {
         PolicySpec::zoo(ZooSpec::Greedy),
         PolicySpec::zoo(ZooSpec::bandit(seed)),
         PolicySpec::zoo(ZooSpec::perq()),
-        PolicySpec::zoo(ZooSpec::hybrid()),
     ]
 }
 
@@ -61,7 +61,7 @@ pub fn zoo_ablation_grid(seed: u64, swf_path: Option<&str>) -> Vec<Scenario> {
             policy.clone(),
         );
         s.workload = WorkloadSpec::SyntheticLight { jobs: 48 };
-        grid.push(s.with_engine(SimEngine::Event));
+        grid.push(s);
     }
     for policy in ablation_policies(seed) {
         grid.push(Scenario::new(
@@ -88,12 +88,9 @@ pub fn zoo_ablation_grid(seed: u64, swf_path: Option<&str>) -> Vec<Scenario> {
                     honor_arrivals: true,
                     ..SwfReplayOptions::default()
                 };
-                s = s.with_swf(path, options).with_engine(SimEngine::Event);
+                s = s.with_swf(path, options);
             }
-            None => {
-                s.workload = WorkloadSpec::SyntheticLight { jobs: 24 };
-                s = s.with_engine(SimEngine::Event);
-            }
+            None => s.workload = WorkloadSpec::SyntheticLight { jobs: 24 },
         }
         grid.push(s);
     }
@@ -179,41 +176,6 @@ pub fn ablation_table(outcomes: &[ScenarioOutcome]) -> AblationTable {
 }
 
 impl AblationTable {
-    /// Regime names in first-appearance order.
-    pub fn regimes(&self) -> Vec<&str> {
-        let mut regimes: Vec<&str> = Vec::new();
-        for c in &self.cells {
-            if !regimes.contains(&c.regime.as_str()) {
-                regimes.push(&c.regime);
-            }
-        }
-        regimes
-    }
-
-    /// The cell for one `(regime, policy)` pair.
-    pub fn cell(&self, regime: &str, policy: &str) -> Option<&AblationCell> {
-        self.cells
-            .iter()
-            .find(|c| c.regime == regime && c.policy == policy)
-    }
-
-    /// `completed(a) − completed(b)` per regime — positive when `a`
-    /// beats `b`, zero when they tie. The PR's acceptance gate is
-    /// `compare("ZOO-HYBRID", "ZOO-PERQ")` non-negative on most regimes.
-    pub fn compare(&self, a: &str, b: &str) -> Vec<(String, i64)> {
-        self.regimes()
-            .iter()
-            .filter_map(|&regime| {
-                let ca = self.cell(regime, a)?;
-                let cb = self.cell(regime, b)?;
-                Some((
-                    regime.to_string(),
-                    ca.completed as i64 - cb.completed as i64,
-                ))
-            })
-            .collect()
-    }
-
     /// Renders the fixed-width text table (regimes as row groups).
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -238,24 +200,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn grid_is_five_by_five_and_regime_major() {
+    fn grid_is_four_by_five_and_regime_major() {
         let grid = zoo_ablation_grid(7, None);
-        assert_eq!(grid.len(), 25);
+        assert_eq!(grid.len(), 20);
         let names: Vec<_> = grid.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names[0..5], ["sparse-mira"; 5]);
-        assert_eq!(names[20..25], ["adversarial-telemetry"; 5]);
-        let policies: Vec<_> = grid[0..5].iter().map(|s| s.policy.name()).collect();
+        assert_eq!(names[0..4], ["sparse-mira"; 4]);
+        assert_eq!(names[16..20], ["adversarial-telemetry"; 4]);
+        let policies: Vec<_> = grid[0..4].iter().map(|s| s.policy.name()).collect();
         assert_eq!(
             policies,
-            [
-                "ZOO-FAIR",
-                "ZOO-GREEDY",
-                "ZOO-BANDIT",
-                "ZOO-PERQ",
-                "ZOO-HYBRID"
-            ]
+            ["ZOO-FAIR", "ZOO-GREEDY", "ZOO-BANDIT", "ZOO-PERQ"]
         );
-        // PERQ-based arms share one model spec → one training run.
+        // The PERQ arms share one model spec → one training run.
         let specs: Vec<_> = grid
             .iter()
             .filter_map(|s| match &s.policy {
@@ -263,7 +219,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(specs.len(), 10, "two model-backed arms per regime");
+        assert_eq!(specs.len(), 5, "one model-backed arm per regime");
         assert!(specs.windows(2).all(|w| w[0] == w[1]));
     }
 
@@ -274,7 +230,7 @@ mod tests {
             .iter()
             .filter(|s| matches!(s.workload, WorkloadSpec::Swf { .. }))
             .count();
-        assert_eq!(swf_count, 5);
+        assert_eq!(swf_count, 4);
         assert!(grid
             .iter()
             .filter(|s| matches!(s.workload, WorkloadSpec::Swf { .. }))

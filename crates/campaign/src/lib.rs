@@ -32,7 +32,7 @@ use perq_core::{
 use perq_gym::{RewardSpec, ZooDriver, ZooSpec};
 use perq_sim::{
     BudgetAuthority, BudgetSchedule, Cluster, ClusterConfig, FairPolicy, FaultPlan, FaultRates,
-    HierSim, HierTopology, JobSpec, PowerPolicy, ProportionalAuthority, SimEngine, SimResult,
+    HierSim, HierTopology, JobSpec, PowerPolicy, ProportionalAuthority, SimResult,
     SwfImportSummary, SystemModel, TenantSpec, TraceGenerator, TraceSource,
 };
 use perq_telemetry::{FieldValue, Recorder};
@@ -97,9 +97,9 @@ pub enum PolicySpec {
     },
     /// A policy-zoo citizen (`perq-gym`) driven through its
     /// [`ZooDriver`] adapter: fair-share/greedy baselines, the
-    /// tabular-Q bandit, wrapped PERQ, or the forecaster hybrid —
-    /// under a selectable reward shaping whose scores land on the
-    /// scenario's recorder as `perq_gym_*` metrics.
+    /// tabular-Q bandit or wrapped PERQ — under a selectable reward
+    /// shaping whose scores land on the scenario's recorder as
+    /// `perq_gym_*` metrics.
     Zoo {
         /// Which zoo citizen runs.
         zoo: ZooSpec,
@@ -271,7 +271,7 @@ pub struct SwfReplayOptions {
     /// Honour the log's submit times (rebased so the first job arrives
     /// at `t = 0`) instead of making every job ready at `t = 0`. Off by
     /// default — the saturated queue reproduces the paper's setup —
-    /// but arrivals are what expose the dead time the event engine
+    /// but arrivals are what expose the dead time the simulator
     /// skips. Missing in older scenario files, hence the serde default.
     #[serde(default)]
     pub honor_arrivals: bool,
@@ -452,12 +452,6 @@ pub struct Scenario {
     /// The workload source (synthetic generator or SWF replay).
     #[serde(default)]
     pub workload: WorkloadSpec,
-    /// Which simulator core executes the run. Both produce identical
-    /// results ([`SimResult::same_simulation`] and byte-identical
-    /// recorder exports); `Event` skips dead time. Defaults to `Step`
-    /// so older scenario files keep their meaning.
-    #[serde(default)]
-    pub engine: SimEngine,
     /// Flat controller or coordinator-over-enclaves. Defaults to flat
     /// (the paper's setup; older scenario files deserialize to it).
     #[serde(default)]
@@ -493,7 +487,6 @@ impl Scenario {
             faults: None,
             trace_jobs: Vec::new(),
             workload: WorkloadSpec::default(),
-            engine: SimEngine::default(),
             topology: TopologySpec::default(),
             budget_schedule: None,
         }
@@ -513,12 +506,6 @@ impl Scenario {
             path: path.into(),
             options,
         };
-        self
-    }
-
-    /// Selects the simulator core for this scenario.
-    pub fn with_engine(mut self, engine: SimEngine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -651,7 +638,6 @@ impl Scenario {
                 .map(|_| self.policy.build(models))
                 .collect();
             let mut sim = HierSim::new(config, jobs, self.seed, topology, policies)
-                .with_engine(self.engine)
                 .with_threads(enclave_threads)
                 .with_recorder(recorder)
                 .with_authority(authority);
@@ -671,63 +657,8 @@ impl Scenario {
         if let Some(faults) = &self.faults {
             cluster = cluster.with_fault_plan(faults.materialise(steps));
         }
-        Ok(cluster.run_engine(policy.as_mut(), self.engine))
+        Ok(cluster.run(policy.as_mut()))
     }
-}
-
-/// Runs a truncated copy of `scenario` under **both** engines and
-/// checks they agree — [`SimResult::same_simulation`] plus
-/// byte-identical Prometheus and JSONL exports. `steps` bounds the
-/// truncated run's length in control intervals.
-///
-/// Trains the scenario's models from scratch; inside a campaign the
-/// engine calls the shared-model variant instead.
-pub fn verify_engine_parity(scenario: &Scenario, steps: usize) -> Result<(), CampaignError> {
-    let models = train_referenced_models(std::slice::from_ref(scenario), 1);
-    engine_parity_check(scenario, steps, &models)
-}
-
-fn engine_parity_check(
-    scenario: &Scenario,
-    steps: usize,
-    models: &BTreeMap<String, NodeModel>,
-) -> Result<(), CampaignError> {
-    assert!(steps > 0, "parity check needs at least one step");
-    let mut short = scenario.clone();
-    short.duration_s = short.duration_s.min(steps as f64 * short.interval_s);
-    let run = |engine: SimEngine| -> Result<(SimResult, String, String), CampaignError> {
-        let recorder = Recorder::manual();
-        let result = short
-            .clone()
-            .with_engine(engine)
-            .try_run(models, recorder.clone())?;
-        Ok((
-            result,
-            recorder.export_prometheus(),
-            recorder.export_jsonl(),
-        ))
-    };
-    let (step, step_prom, step_jsonl) = run(SimEngine::Step)?;
-    let (event, event_prom, event_jsonl) = run(SimEngine::Event)?;
-    let fail = |what: &str| {
-        Err(CampaignError {
-            scenario: scenario.name.clone(),
-            message: format!(
-                "engine parity preflight over {steps} steps: step and event engines \
-                 disagree on {what}"
-            ),
-        })
-    };
-    if !step.same_simulation(&event) {
-        return fail("the simulation result");
-    }
-    if step_prom != event_prom {
-        return fail("the Prometheus export");
-    }
-    if step_jsonl != event_jsonl {
-        return fail("the JSONL journal");
-    }
-    Ok(())
 }
 
 /// Campaign execution options.
@@ -735,12 +666,6 @@ fn engine_parity_check(
 pub struct CampaignOptions {
     /// Worker threads; `1` runs strictly serially.
     pub threads: usize,
-    /// When non-zero, every scenario that selects [`SimEngine::Event`]
-    /// first runs a truncated copy (this many control intervals) under
-    /// both engines and the campaign refuses to start if they disagree.
-    /// `0` (the default) skips the preflight.
-    #[serde(default)]
-    pub parity_preflight_steps: usize,
     /// Worker threads for the enclave fan-out *inside* each
     /// hierarchical scenario (`0`/`1` = serial). Composes with
     /// `threads`: a campaign can parallelise across scenarios, within
@@ -753,7 +678,6 @@ impl Default for CampaignOptions {
     fn default() -> Self {
         CampaignOptions {
             threads: 1,
-            parity_preflight_steps: 0,
             enclave_threads: 1,
         }
     }
@@ -810,13 +734,6 @@ pub fn try_run_campaign(
         }
     }
     let models = train_referenced_models(scenarios, opts.threads);
-    if opts.parity_preflight_steps > 0 {
-        for scenario in scenarios {
-            if scenario.engine == SimEngine::Event {
-                engine_parity_check(scenario, opts.parity_preflight_steps, &models)?;
-            }
-        }
-    }
     let collect = recorder.enabled();
     let runs: Vec<(Recorder, SimResult)> = parallel_map(scenarios, opts.threads, |_i, scenario| {
         let worker = if collect {
@@ -999,43 +916,26 @@ mod tests {
     }
 
     #[test]
-    fn event_engine_campaign_matches_step_engine_campaign() {
-        let grid = tiny_grid();
-        let event_grid: Vec<Scenario> = grid
-            .iter()
-            .map(|s| s.clone().with_engine(SimEngine::Event))
-            .collect();
-        let run = |grid: &[Scenario]| {
-            let recorder = Recorder::manual();
-            let out = run_campaign(grid, &CampaignOptions::default(), &recorder);
-            let results: Vec<SimResult> = out.into_iter().map(|o| o.result).collect();
-            (
-                results,
-                recorder.export_prometheus(),
-                recorder.export_jsonl(),
-            )
-        };
-        let (step, step_prom, step_jsonl) = run(&grid);
-        let (event, event_prom, event_jsonl) = run(&event_grid);
-        for (a, b) in step.iter().zip(event.iter()) {
-            assert!(a.same_simulation(b), "engines diverged on {}", a.policy);
+    fn files_written_before_the_single_loop_still_load() {
+        // Scenario and gym-environment JSON recorded while the simulator
+        // had an `engine` knob must keep loading: the retired key is
+        // ignored.
+        fn with_key(json: &str, key: &str) -> String {
+            assert!(json.ends_with('}'));
+            format!("{},{key}}}", &json[..json.len() - 1])
         }
-        assert_eq!(step_prom, event_prom);
-        assert_eq!(step_jsonl, event_jsonl);
-    }
+        let scenario = tiny_grid().remove(1);
+        let json = serde_json::to_string(&scenario).unwrap();
+        assert!(!json.contains("engine"), "{json}");
+        let old = with_key(&json, r#""engine":"event""#);
+        assert_eq!(serde_json::from_str::<Scenario>(&old).unwrap(), scenario);
 
-    #[test]
-    fn parity_preflight_accepts_equivalent_engines() {
-        let scenario = tiny_grid().remove(1).with_engine(SimEngine::Event);
-        verify_engine_parity(&scenario, 20).expect("engines must agree on the prefix");
-        let opts = CampaignOptions {
-            threads: 2,
-            parity_preflight_steps: 10,
-            ..Default::default()
-        };
-        let out = try_run_campaign(&[scenario], &opts, &Recorder::noop())
-            .expect("preflight must pass for equivalent engines");
-        assert_eq!(out.len(), 1);
+        let env = perq_gym::EnvConfig::tardis(7);
+        let old = with_key(&serde_json::to_string(&env).unwrap(), r#""engine":"step""#);
+        assert_eq!(
+            serde_json::from_str::<perq_gym::EnvConfig>(&old).unwrap(),
+            env
+        );
     }
 
     #[test]

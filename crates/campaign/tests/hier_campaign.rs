@@ -58,7 +58,6 @@ fn export(
         &CampaignOptions {
             threads,
             enclave_threads,
-            ..Default::default()
         },
         &recorder,
     );

@@ -70,8 +70,8 @@ fn run(grid: &[perq_campaign::Scenario], threads: usize) -> (Vec<String>, String
 fn ablation_grid_is_byte_identical_across_thread_counts() {
     let grid = small_grid();
     let (digests_1, prom_1, jsonl_1, table_1) = run(&grid, 1);
-    assert_eq!(grid.len(), 25);
-    assert!(table_1.contains("ZOO-HYBRID"));
+    assert_eq!(grid.len(), 20);
+    assert!(table_1.contains("ZOO-PERQ"));
     for threads in [2, 4] {
         let (digests_n, prom_n, jsonl_n, table_n) = run(&grid, threads);
         assert_eq!(
@@ -104,7 +104,7 @@ fn ablation_reruns_reproduce_byte_for_byte() {
 #[test]
 fn gym_metrics_land_on_the_campaign_recorder() {
     let mut grid = small_grid();
-    grid.truncate(5); // one regime × all five policies
+    grid.truncate(4); // one regime × all four policies
     let recorder = Recorder::manual();
     run_campaign(&grid, &CampaignOptions::default(), &recorder);
     let prom = recorder.export_prometheus();

@@ -11,7 +11,7 @@
 //!   parallel campaign engine (`perq-campaign`).
 //! - `perq zoo` — the policy-zoo ablation (`perq-gym` × `perq-campaign`):
 //!   every zoo policy crossed with the five evaluation regimes, rendered
-//!   as a fixed-width table plus the hybrid-vs-PERQ differential.
+//!   as a fixed-width table.
 //! - `perq trace` — inspect, validate, convert, and replay SWF workload
 //!   logs (`perq-trace`).
 //! - `perq serve` — the non-blocking TCP control plane (`perq-serve`):
@@ -25,11 +25,14 @@
 //! Run `perq help` (or any subcommand with `--help`-style ignorance) for
 //! usage. The CLI keeps zero non-workspace dependencies: argument parsing
 //! is a hand-rolled key=value scheme, which is all these commands need.
+//! A value a command cannot use — an unknown spelling, a number that
+//! does not parse, a retired key — is a usage error (exit 2) naming the
+//! key, never a silent default.
 
 use perq_core::{baselines, train_node_model, PerqConfig, PerqPolicy};
 use perq_sim::{
     compare_fairness, fault_summary, Cluster, ClusterConfig, FairPolicy, FaultPlan, FaultRates,
-    JobSpec, PowerPolicy, SimEngine, SimResult, SystemModel, TraceGenerator,
+    JobSpec, PowerPolicy, SimResult, SystemModel, TraceGenerator,
 };
 use perq_telemetry::Recorder;
 use std::collections::HashMap;
@@ -45,8 +48,6 @@ USAGE:
                    the step-major SoA layout; mixed iterates in f32 over SoA with
                    an f64 residual check and automatic f64 fallback; any other
                    spelling is a usage error)
-                   [engine=step|event] (simulator core; both produce identical
-                   results — event skips dead time on sparse workloads)
                    [faults=SEED] (seeded fault injection: node crashes, telemetry
                    dropouts, job kills — deterministic per seed; in hierarchical
                    runs the plan lands on enclave 0)
@@ -62,8 +63,9 @@ USAGE:
                    exports are byte-identical at any count)
                    [metrics-out=PATH] [metrics-fmt=prom|jsonl] (telemetry export:
                    solver, controller, and simulator metrics for the policy run)
-                   [engine-metrics-out=PATH] (engine diagnostics — events processed,
-                   intervals skipped, queue depth — as a Prometheus exposition)
+                   [engine-metrics-out=PATH] (simulator-loop diagnostics — intervals
+                   executed vs skipped as idle, wall time per simulated day — as
+                   a Prometheus exposition)
                    [coordinator-metrics-out=PATH] (hierarchical runs: grant
                    rounds and coordinator solve latency as a Prometheus
                    exposition — wall-clock, so kept out of metrics-out)
@@ -73,25 +75,21 @@ USAGE:
                    [metrics-out=PATH] [metrics-fmt=prom|jsonl]
     perq campaign  [threads=1] [scenarios=FILE.json] [json=out.json]
                    [system=mira|trinity|tardis] [policy=perq|fop|sjs|ljs|srn]
-                   [seeds=4] [hours=0.5] [f=2.0] [engine=step|event]
+                   [seeds=4] [hours=0.5] [f=2.0]
                    [topology=flat|enclaves:N] [tenants=1,2,4] [coordination=6]
                    [authority=qp|proportional] (hierarchical scenarios — the
                    same keys as simulate, applied to every generated cell;
                    scenario files carry their own \"topology\" field)
                    [enclave-threads=1] (threads per hierarchical scenario,
                    multiplicative with threads=; byte-identical at any count)
-                   [parity-steps=N] (run each event-engine scenario's first N
-                   intervals under both cores and refuse to start on divergence)
                    [metrics-out=PATH] [metrics-fmt=prom|jsonl]
-                   (scenarios=FILE runs a serde-encoded grid — each scenario
-                   may carry its own \"engine\" field; otherwise a fig8-style
-                   grid over seeds 0..SEEDS is generated with engine=ENGINE.
-                   Exports are byte-identical at any thread count and for
-                   either engine.)
+                   (scenarios=FILE runs a serde-encoded grid; otherwise a
+                   fig8-style grid over seeds 0..SEEDS is generated. Exports
+                   are byte-identical at any thread count.)
     perq zoo       [seed=7] [threads=1] [swf=LOG.swf] [json=out.json]
                    [metrics-out=PATH] [metrics-fmt=prom|jsonl]
                    (policy-zoo ablation: ZOO-FAIR / ZOO-GREEDY / ZOO-BANDIT /
-                   ZOO-PERQ / ZOO-HYBRID crossed with five regimes — sparse
+                   ZOO-PERQ crossed with five regimes — sparse
                    Mira, dense Tardis, SWF replay, carbon-diurnal budget,
                    adversarial telemetry. swf= selects the replay log
                    (otherwise a draining synthetic stream); json= writes the
@@ -109,9 +107,9 @@ USAGE:
     perq trace replay   file=LOG.swf [system=mira|trinity|tardis] [policy=perq|fop|sjs|ljs|srn]
                    [f=2.0] [hours=1] [seed=42] [synth-seed=SEED] [mode=strict|lenient]
                    [scale=F] [window=START:END] [clamp=MIN:MAX]
-                   [engine=step|event] [arrivals=true] (honour the log's submit
-                   times instead of queueing every job at t=0 — with the event
-                   engine, idle gaps between arrivals are skipped)
+                   [arrivals=true] (honour the log's submit times instead of
+                   queueing every job at t=0; the idle gaps between arrivals
+                   are skipped, byte-identically to stepping through them)
                    [metrics-out=PATH] [metrics-fmt=prom|jsonl]
                    (replay the log through the simulator with seeded power profiles)
     perq serve     [listen=127.0.0.1:7070] [http=127.0.0.1:7071|off]
@@ -132,12 +130,15 @@ USAGE:
                    url= scrapes a live /metrics endpoint over raw TCP first)
     perq help
 
+A value a command cannot use (unknown spelling, unparsable number) and the
+retired engine= / parity-steps= keys are usage errors: exit 2, key named.
+
 Examples:
     perq simulate system=trinity policy=perq f=1.8 hours=8
     perq simulate system=mira policy=perq precision=mixed hours=1
     perq simulate system=mira topology=enclaves:4 tenants=1,2 authority=qp hours=1
     perq campaign threads=4 topology=enclaves:8 enclave-threads=2 seeds=8 hours=0.5
-    perq trace replay file=year.swf system=mira engine=event arrivals=true hours=8760
+    perq trace replay file=year.swf system=mira arrivals=true hours=8760
     perq campaign threads=8 system=tardis policy=fop seeds=16 hours=1
     perq campaign threads=4 scenarios=grid.json metrics-out=campaign.prom metrics-fmt=prom
     perq zoo seed=7 threads=4 swf=log.swf json=zoo.json
@@ -151,87 +152,143 @@ Examples:
     perq metrics-validate url=http://127.0.0.1:7071/metrics require=perq_serve_ticks_total
 ";
 
-fn usage() -> ExitCode {
-    eprintln!("{USAGE}");
-    ExitCode::from(2)
+/// Why a command stopped early, with the line to print on stderr.
+#[derive(Debug)]
+enum CliError {
+    /// The command line asks for something the command cannot do — an
+    /// unknown spelling, an unparsable number, a retired key. Exit 2.
+    /// Never a silent default: that would label default numbers as the
+    /// run the user asked for.
+    Usage(String),
+    /// The run itself failed (I/O, a workload that does not load). Exit 1.
+    Failed(String),
 }
 
-fn parse_args(args: &[String]) -> HashMap<String, String> {
+type CliResult<T = ()> = Result<T, CliError>;
+
+fn usage_error<T>(msg: String) -> CliResult<T> {
+    Err(CliError::Usage(msg))
+}
+
+type Args = HashMap<String, String>;
+
+fn parse_args(args: &[String]) -> CliResult<Args> {
     let mut map = HashMap::new();
     for a in args {
         if let Some((k, v)) = a.split_once('=') {
+            if k == "engine" || k == "parity-steps" {
+                return usage_error(format!(
+                    "'{k}=' was retired: the simulator has one loop now (idle intervals are \
+                     always skipped, byte-identically to stepping through them) — drop the key"
+                ));
+            }
             map.insert(k.to_string(), v.to_string());
         }
     }
-    map
+    Ok(map)
 }
 
-fn get<T: std::str::FromStr>(map: &HashMap<String, String>, key: &str, default: T) -> T {
-    map.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+/// The value of `key=`, if given; a value that does not parse as `T` is
+/// a usage error naming the key.
+fn opt<T: std::str::FromStr>(map: &Args, key: &str) -> CliResult<Option<T>> {
+    match map.get(key) {
+        None => Ok(None),
+        Some(v) => match v.parse() {
+            Ok(value) => Ok(Some(value)),
+            Err(_) => usage_error(format!(
+                "bad {key} '{v}' (expected a value of type {})",
+                std::any::type_name::<T>()
+            )),
+        },
+    }
 }
 
-fn system(map: &HashMap<String, String>) -> SystemModel {
+fn get<T: std::str::FromStr>(map: &Args, key: &str, default: T) -> CliResult<T> {
+    Ok(opt(map, key)?.unwrap_or(default))
+}
+
+fn system(map: &Args) -> CliResult<SystemModel> {
     match map.get("system").map(String::as_str) {
-        Some("trinity") => SystemModel::trinity(),
-        Some("tardis") => SystemModel::tardis(),
-        Some("mira") | None => SystemModel::mira(),
-        Some(other) => {
-            eprintln!("unknown system '{other}', using mira");
-            SystemModel::mira()
-        }
+        Some("trinity") => Ok(SystemModel::trinity()),
+        Some("tardis") => Ok(SystemModel::tardis()),
+        Some("mira") | None => Ok(SystemModel::mira()),
+        Some(other) => usage_error(format!(
+            "unknown system '{other}' (expected mira|trinity|tardis)"
+        )),
     }
 }
 
 /// Parses `precision=f64|f64_soa|mixed` (default: the bit-reproducible
 /// `f64`/AoS reference profile). `mixed` iterates the decision QP in
 /// single precision over SoA lanes, verifies every answer against an f64
-/// residual check and polishes in f64 when the check fails. An unknown
-/// or retired spelling is a usage error: falling back to `f64` would
-/// label reference numbers as the run the user asked for.
-fn solver_profile(map: &HashMap<String, String>) -> Result<perq_core::SolverProfile, ExitCode> {
+/// residual check and polishes in f64 when the check fails.
+fn solver_profile(map: &Args) -> CliResult<perq_core::SolverProfile> {
     match map.get("precision") {
         None => Ok(perq_core::SolverProfile::default()),
-        Some(spec) => spec.parse().map_err(|err| {
-            eprintln!("{err}");
-            ExitCode::from(2)
-        }),
+        Some(spec) => spec.parse().map_err(CliError::Usage),
     }
 }
 
-fn policy(map: &HashMap<String, String>) -> Result<Box<dyn PowerPolicy + Send>, ExitCode> {
+/// The policies `simulate`, `prototype`, `campaign` and `trace replay`
+/// accept (default `perq`).
+#[derive(Clone, Copy)]
+enum PolicyArg {
+    Perq,
+    Fop,
+    Sjs,
+    Ljs,
+    Srn,
+}
+
+fn policy_arg(map: &Args) -> CliResult<PolicyArg> {
+    match map.get("policy").map(String::as_str) {
+        Some("perq") | None => Ok(PolicyArg::Perq),
+        Some("fop") => Ok(PolicyArg::Fop),
+        Some("sjs") => Ok(PolicyArg::Sjs),
+        Some("ljs") => Ok(PolicyArg::Ljs),
+        Some("srn") => Ok(PolicyArg::Srn),
+        Some(other) => usage_error(format!(
+            "unknown policy '{other}' (expected perq|fop|sjs|ljs|srn)"
+        )),
+    }
+}
+
+/// A live policy for `policy=`, PERQ under `precision=`.
+fn policy(map: &Args) -> CliResult<Box<dyn PowerPolicy + Send>> {
     let solver_profile = solver_profile(map)?;
-    let perq_config = || PerqConfig {
-        solver_profile,
-        ..PerqConfig::default()
-    };
-    Ok(match map.get("policy").map(String::as_str) {
-        Some("fop") => Box::new(FairPolicy::new()),
-        Some("sjs") => Box::new(baselines::sjs()),
-        Some("ljs") => Box::new(baselines::ljs()),
-        Some("srn") => Box::new(baselines::srn()),
-        Some("perq") | None => Box::new(PerqPolicy::new(perq_config())),
-        Some(other) => {
-            eprintln!("unknown policy '{other}', using perq");
-            Box::new(PerqPolicy::new(perq_config()))
-        }
+    Ok(match policy_arg(map)? {
+        PolicyArg::Fop => Box::new(FairPolicy::new()),
+        PolicyArg::Sjs => Box::new(baselines::sjs()),
+        PolicyArg::Ljs => Box::new(baselines::ljs()),
+        PolicyArg::Srn => Box::new(baselines::srn()),
+        PolicyArg::Perq => Box::new(PerqPolicy::new(PerqConfig {
+            solver_profile,
+            ..PerqConfig::default()
+        })),
     })
 }
 
-fn engine(map: &HashMap<String, String>) -> SimEngine {
-    match map.get("engine") {
-        None => SimEngine::default(),
-        Some(spec) => spec.parse().unwrap_or_else(|_| {
-            eprintln!("unknown engine '{spec}' (expected step|event), using step");
-            SimEngine::default()
-        }),
-    }
+/// The campaign spec for `policy=`. Generated grids and replays run
+/// PERQ's reference profile (a scenario file carries its own); a
+/// misspelt or retired `precision=` still must not pass for a run at
+/// that precision, so the key is validated here too.
+fn policy_spec(map: &Args) -> CliResult<perq_campaign::PolicySpec> {
+    use perq_campaign::PolicySpec;
+    solver_profile(map)?;
+    Ok(match policy_arg(map)? {
+        PolicyArg::Fop => PolicySpec::Fop,
+        PolicyArg::Sjs => PolicySpec::Sjs,
+        PolicyArg::Ljs => PolicySpec::Ljs,
+        PolicyArg::Srn => PolicySpec::Srn,
+        PolicyArg::Perq => PolicySpec::perq_default(),
+    })
 }
 
 /// Parses `topology=flat|enclaves:N` plus its refinement keys
 /// (`tenants=`, `coordination=`, `authority=`) into a campaign
 /// [`perq_campaign::TopologySpec`]. The refinement keys are ignored
-/// for flat runs, matching the engine's behaviour.
-fn topology(map: &HashMap<String, String>) -> Result<perq_campaign::TopologySpec, ExitCode> {
+/// for flat runs, matching the campaign engine's behaviour.
+fn topology(map: &Args) -> CliResult<perq_campaign::TopologySpec> {
     use perq_campaign::{AuthoritySpec, TopologySpec};
     let count = match map.get("topology").map(String::as_str) {
         None | Some("flat") => return Ok(TopologySpec::Flat),
@@ -241,8 +298,9 @@ fn topology(map: &HashMap<String, String>) -> Result<perq_campaign::TopologySpec
         {
             Some(n) if n >= 1 => n,
             _ => {
-                eprintln!("bad topology '{spec}' (expected flat|enclaves:N with N >= 1)");
-                return Err(ExitCode::from(2));
+                return usage_error(format!(
+                    "bad topology '{spec}' (expected flat|enclaves:N with N >= 1)"
+                ))
             }
         },
     };
@@ -256,23 +314,24 @@ fn topology(map: &HashMap<String, String>) -> Result<perq_campaign::TopologySpec
             match weights {
                 Some(w) if !w.is_empty() => w,
                 _ => {
-                    eprintln!("bad tenants '{spec}' (expected comma-separated positive weights)");
-                    return Err(ExitCode::from(2));
+                    return usage_error(format!(
+                        "bad tenants '{spec}' (expected comma-separated positive weights)"
+                    ))
                 }
             }
         }
     };
-    let coordination_intervals: usize = get(map, "coordination", 6);
+    let coordination_intervals: usize = get(map, "coordination", 6)?;
     if coordination_intervals == 0 {
-        eprintln!("bad coordination '0' (expected a positive interval count)");
-        return Err(ExitCode::from(2));
+        return usage_error("bad coordination '0' (expected a positive interval count)".into());
     }
     let authority = match map.get("authority").map(String::as_str) {
         None | Some("qp") => AuthoritySpec::CouplingQp,
         Some("proportional") => AuthoritySpec::Proportional,
         Some(other) => {
-            eprintln!("unknown authority '{other}' (expected qp|proportional)");
-            return Err(ExitCode::from(2));
+            return usage_error(format!(
+                "unknown authority '{other}' (expected qp|proportional)"
+            ))
         }
     };
     Ok(TopologySpec::Enclaves {
@@ -283,37 +342,51 @@ fn topology(map: &HashMap<String, String>) -> Result<perq_campaign::TopologySpec
     })
 }
 
-/// Writes the engine-diagnostics recorder to `engine-metrics-out=` as a
-/// Prometheus exposition. No-op when the key was not given.
-fn write_engine_metrics(
-    map: &HashMap<String, String>,
-    recorder: &Recorder,
-) -> Result<(), ExitCode> {
-    let Some(path) = map.get("engine-metrics-out") else {
-        return Ok(());
-    };
-    if let Err(e) = std::fs::write(path, recorder.export_prometheus()) {
-        eprintln!("failed to write {path}: {e}");
-        return Err(ExitCode::FAILURE);
-    }
-    println!("engine metrics written to {path}");
+/// Writes `body` to `path` and says what was written.
+fn write_file(path: &str, body: impl AsRef<[u8]>, what: &str) -> CliResult {
+    std::fs::write(path, body)
+        .map_err(|e| CliError::Failed(format!("failed to write {path}: {e}")))?;
+    println!("{what} written to {path}");
     Ok(())
 }
 
-/// A live recorder when `metrics-out=` was given, the no-op otherwise.
-/// The manual clock keeps exports deterministic: timestamps come from
+/// Writes `to_json()` to `json=`. No-op when the key was not given.
+fn write_json(
+    map: &Args,
+    to_json: impl FnOnce() -> serde_json::Result<String>,
+    what: &str,
+) -> CliResult {
+    let Some(path) = map.get("json") else {
+        return Ok(());
+    };
+    let body =
+        to_json().map_err(|e| CliError::Failed(format!("failed to serialize the {what}: {e}")))?;
+    write_file(path, body, what)
+}
+
+/// A live recorder when `key=` was given, the no-op otherwise. The
+/// manual clock keeps exports deterministic: timestamps come from
 /// simulated time, never the wall.
-fn metrics_recorder(map: &HashMap<String, String>) -> Recorder {
-    if map.contains_key("metrics-out") {
+fn recorder_for(map: &Args, key: &str) -> Recorder {
+    if map.contains_key(key) {
         Recorder::manual()
     } else {
         Recorder::noop()
     }
 }
 
+/// Writes `recorder` to `key=` as a Prometheus exposition. No-op when
+/// the key was not given.
+fn write_prometheus(map: &Args, key: &str, recorder: &Recorder, what: &str) -> CliResult {
+    match map.get(key) {
+        Some(path) => write_file(path, recorder.export_prometheus(), what),
+        None => Ok(()),
+    }
+}
+
 /// Writes the recorder's export to `metrics-out=` in `metrics-fmt=`
 /// (default jsonl). No-op when `metrics-out=` was not given.
-fn write_metrics(map: &HashMap<String, String>, recorder: &Recorder) -> Result<(), ExitCode> {
+fn write_metrics(map: &Args, recorder: &Recorder) -> CliResult {
     let Some(path) = map.get("metrics-out") else {
         return Ok(());
     };
@@ -321,16 +394,12 @@ fn write_metrics(map: &HashMap<String, String>, recorder: &Recorder) -> Result<(
         Some("prom") => recorder.export_prometheus(),
         Some("jsonl") | None => recorder.export_jsonl(),
         Some(other) => {
-            eprintln!("unknown metrics-fmt '{other}' (expected prom|jsonl)");
-            return Err(ExitCode::from(2));
+            return usage_error(format!(
+                "unknown metrics-fmt '{other}' (expected prom|jsonl)"
+            ))
         }
     };
-    if let Err(e) = std::fs::write(path, body) {
-        eprintln!("failed to write {path}: {e}");
-        return Err(ExitCode::FAILURE);
-    }
-    println!("metrics written to {path}");
-    Ok(())
+    write_file(path, body, "metrics")
 }
 
 fn summarize(result: &SimResult, fop: Option<&SimResult>) {
@@ -361,34 +430,27 @@ fn summarize(result: &SimResult, fop: Option<&SimResult>) {
     }
 }
 
-fn cmd_simulate(map: HashMap<String, String>) -> ExitCode {
-    let system = system(&map);
-    let f: f64 = get(&map, "f", 2.0);
-    let hours: f64 = get(&map, "hours", 4.0);
-    let seed: u64 = get(&map, "seed", 42);
-    let interval: f64 = get(&map, "interval", 10.0);
-
-    let engine = engine(&map);
-    let topo = match topology(&map) {
-        Ok(t) => t,
-        Err(code) => return code,
-    };
+fn cmd_simulate(map: Args) -> CliResult {
+    let system = system(&map)?;
+    let f: f64 = get(&map, "f", 2.0)?;
+    let hours: f64 = get(&map, "hours", 4.0)?;
+    let seed: u64 = get(&map, "seed", 42)?;
+    let interval: f64 = get(&map, "interval", 10.0)?;
+    let topo = topology(&map)?;
 
     let mut config = ClusterConfig::for_system(&system, f, hours * 3600.0);
     config.interval_s = interval;
     let jobs = TraceGenerator::new(system.clone(), seed)
         .generate_saturating(config.nodes, config.duration_s);
     println!(
-        "simulating {}: {} nodes (wp {}), {} queued jobs, {hours} h at {interval} s \
-         intervals ({engine} engine)",
+        "simulating {}: {} nodes (wp {}), {} queued jobs, {hours} h at {interval} s intervals",
         system.name,
         config.nodes,
         config.wp_nodes,
         jobs.len()
     );
 
-    let fault_seed: Option<u64> = map.get("faults").and_then(|v| v.parse().ok());
-    let fault_plan = fault_seed.map(|fs| {
+    let fault_plan = opt::<u64>(&map, "faults")?.map(|fs| {
         let steps = (config.duration_s / config.interval_s) as usize;
         let plan = FaultPlan::generate(fs, steps, &FaultRates::default());
         println!(
@@ -398,7 +460,7 @@ fn cmd_simulate(map: HashMap<String, String>) -> ExitCode {
         plan
     });
     if topo.hier_topology().is_some() {
-        return simulate_hier(&map, config, jobs, seed, &topo, engine, fault_plan);
+        return simulate_hier(&map, config, jobs, seed, &topo, fault_plan);
     }
     let with_plan = |mut c: Cluster| -> Cluster {
         if let Some(plan) = &fault_plan {
@@ -409,16 +471,9 @@ fn cmd_simulate(map: HashMap<String, String>) -> ExitCode {
 
     // Always run the FOP reference for the fairness metrics. The
     // recorder follows the *chosen* policy's run, whichever that is.
-    let recorder = metrics_recorder(&map);
-    let engine_recorder = if map.contains_key("engine-metrics-out") {
-        Recorder::manual()
-    } else {
-        Recorder::noop()
-    };
-    let mut chosen = match policy(&map) {
-        Ok(policy) => policy,
-        Err(code) => return code,
-    };
+    let recorder = recorder_for(&map, "metrics-out");
+    let engine_recorder = recorder_for(&map, "engine-metrics-out");
+    let mut chosen = policy(&map)?;
     let chosen_is_fop = chosen.name() == "FOP";
     let mut fop_cluster = with_plan(Cluster::new(config.clone(), jobs.clone(), seed));
     if chosen_is_fop {
@@ -426,39 +481,28 @@ fn cmd_simulate(map: HashMap<String, String>) -> ExitCode {
             .with_recorder(recorder.clone())
             .with_engine_recorder(engine_recorder.clone());
     }
-    let fop_result = fop_cluster.run_engine(&mut FairPolicy::new(), engine);
+    let fop_result = fop_cluster.run(&mut FairPolicy::new());
     let result = if chosen_is_fop {
         fop_result.clone()
     } else {
         with_plan(Cluster::new(config, jobs, seed))
             .with_recorder(recorder.clone())
             .with_engine_recorder(engine_recorder.clone())
-            .run_engine(chosen.as_mut(), engine)
+            .run(chosen.as_mut())
     };
     summarize(&result, Some(&fop_result));
-    if let Err(code) = write_metrics(&map, &recorder) {
-        return code;
-    }
-    if let Err(code) = write_engine_metrics(&map, &engine_recorder) {
-        return code;
-    }
-
-    if let Some(path) = map.get("json") {
-        match serde_json::to_string_pretty(&result) {
-            Ok(body) => {
-                if let Err(e) = std::fs::write(path, body) {
-                    eprintln!("failed to write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("full result written to {path}");
-            }
-            Err(e) => {
-                eprintln!("failed to serialize result: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    write_metrics(&map, &recorder)?;
+    write_prometheus(
+        &map,
+        "engine-metrics-out",
+        &engine_recorder,
+        "engine metrics",
+    )?;
+    write_json(
+        &map,
+        || serde_json::to_string_pretty(&result),
+        "full result",
+    )
 }
 
 /// The hierarchical arm of `perq simulate`: `N` enclave controllers
@@ -466,15 +510,15 @@ fn cmd_simulate(map: HashMap<String, String>) -> ExitCode {
 /// fairness reference is skipped — it is a flat-controller notion; use
 /// `perq campaign` with a topology for cross-policy comparisons.
 fn simulate_hier(
-    map: &HashMap<String, String>,
+    map: &Args,
     config: ClusterConfig,
     jobs: Vec<JobSpec>,
     seed: u64,
     topo: &perq_campaign::TopologySpec,
-    engine: SimEngine,
     fault_plan: Option<FaultPlan>,
-) -> ExitCode {
+) -> CliResult {
     use perq_sim::HierSim;
+    let threads: usize = get(map, "enclave-threads", 1)?;
     let hier = topo.hier_topology().expect("hierarchical spec");
     let authority = match topo {
         perq_campaign::TopologySpec::Enclaves { authority, .. } => authority.build(),
@@ -488,20 +532,13 @@ fn simulate_hier(
         hier.coordination_intervals
     );
 
-    let recorder = metrics_recorder(map);
-    let coord_recorder = if map.contains_key("coordinator-metrics-out") {
-        Recorder::manual()
-    } else {
-        Recorder::noop()
-    };
-    let policies: Vec<Box<dyn PowerPolicy + Send>> =
-        match (0..hier.enclaves).map(|_| policy(map)).collect() {
-            Ok(policies) => policies,
-            Err(code) => return code,
-        };
+    let recorder = recorder_for(map, "metrics-out");
+    let coord_recorder = recorder_for(map, "coordinator-metrics-out");
+    let policies = (0..hier.enclaves)
+        .map(|_| policy(map))
+        .collect::<CliResult<Vec<_>>>()?;
     let mut sim = HierSim::new(config, jobs, seed, hier, policies)
-        .with_engine(engine)
-        .with_threads(get(map, "enclave-threads", 1))
+        .with_threads(threads)
         .with_recorder(recorder.clone())
         .with_coordinator_recorder(coord_recorder.clone())
         .with_authority(authority);
@@ -517,36 +554,18 @@ fn simulate_hier(
     if rounds > 0 {
         println!("coordination      : {rounds} grant round(s), mean slack {mean_slack_w:.0} W");
     }
-    if let Err(code) = write_metrics(map, &recorder) {
-        return code;
-    }
-    if let Some(path) = map.get("coordinator-metrics-out") {
-        if let Err(e) = std::fs::write(path, coord_recorder.export_prometheus()) {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("coordinator metrics written to {path}");
-    }
-    if let Some(path) = map.get("json") {
-        match serde_json::to_string_pretty(&result) {
-            Ok(body) => {
-                if let Err(e) = std::fs::write(path, body) {
-                    eprintln!("failed to write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("full result written to {path}");
-            }
-            Err(e) => {
-                eprintln!("failed to serialize result: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    write_metrics(map, &recorder)?;
+    write_prometheus(
+        map,
+        "coordinator-metrics-out",
+        &coord_recorder,
+        "coordinator metrics",
+    )?;
+    write_json(map, || serde_json::to_string_pretty(&result), "full result")
 }
 
-fn cmd_train(map: HashMap<String, String>) -> ExitCode {
-    let seed: u64 = get(&map, "seed", 7);
+fn cmd_train(map: Args) -> CliResult {
+    let seed: u64 = get(&map, "seed", 7)?;
     let (model, report) = train_node_model(seed);
     println!("node model identified from the NPB-like training suite");
     println!("benchmarks        : {}", report.benchmarks);
@@ -563,18 +582,18 @@ fn cmd_train(map: HashMap<String, String>) -> ExitCode {
             100.0 * model.curve.eval(cap_w / 290.0)
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_prototype(map: HashMap<String, String>) -> ExitCode {
+fn cmd_prototype(map: Args) -> CliResult {
     use perq_proto::{ProtoCluster, ProtoConfig};
-    let wp: usize = get(&map, "wp", 8);
-    let f: f64 = get(&map, "f", 2.0);
-    let n_jobs: usize = get(&map, "jobs", 200);
-    let intervals: usize = get(&map, "intervals", 600);
+    let wp: usize = get(&map, "wp", 8)?;
+    let f: f64 = get(&map, "f", 2.0)?;
+    let n_jobs: usize = get(&map, "jobs", 200)?;
+    let intervals: usize = get(&map, "intervals", 600)?;
 
     let mut jobs =
-        TraceGenerator::new(SystemModel::tardis(), get(&map, "seed", 42)).generate(n_jobs);
+        TraceGenerator::new(SystemModel::tardis(), get(&map, "seed", 42)?).generate(n_jobs);
     for j in jobs.iter_mut() {
         j.runtime_tdp_s = j.runtime_tdp_s.clamp(120.0, 1200.0);
         j.runtime_estimate_s = j.runtime_tdp_s * 1.3;
@@ -589,93 +608,49 @@ fn cmd_prototype(map: HashMap<String, String>) -> ExitCode {
                 println!("fault injection: worker {node} crashes at step {step}");
                 config.crash_workers.push((node, step));
             }
-            None => {
-                eprintln!("bad crash spec '{spec}' (expected NODE@STEP)");
-                return ExitCode::from(2);
-            }
+            None => return usage_error(format!("bad crash spec '{spec}' (expected NODE@STEP)")),
         }
     }
     println!(
         "prototype: {} workers (budget {} nodes), {} jobs, {} intervals",
         config.nodes, config.wp_nodes, n_jobs, intervals
     );
-    let recorder = metrics_recorder(&map);
-    let mut chosen = match policy(&map) {
-        Ok(policy) => policy,
-        Err(code) => return code,
-    };
+    let recorder = recorder_for(&map, "metrics-out");
+    let mut chosen = policy(&map)?;
     let cluster = ProtoCluster::new(config).with_recorder(recorder.clone());
-    let result = match cluster.run(jobs, chosen.as_mut()) {
-        Ok(result) => result,
-        Err(e) => {
-            eprintln!("prototype run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let result = cluster
+        .run(jobs, chosen.as_mut())
+        .map_err(|e| CliError::Failed(format!("prototype run failed: {e}")))?;
     summarize(&result, None);
-    if let Err(code) = write_metrics(&map, &recorder) {
-        return code;
-    }
-    ExitCode::SUCCESS
+    write_metrics(&map, &recorder)
 }
 
-fn cmd_campaign(map: HashMap<String, String>) -> ExitCode {
-    use perq_campaign::{fig8_style_grid, try_run_campaign, CampaignOptions, PolicySpec, Scenario};
+fn cmd_campaign(map: Args) -> CliResult {
+    use perq_campaign::{fig8_style_grid, try_run_campaign, CampaignOptions, Scenario};
 
-    // Generated grids and replays run the reference profile (a scenario
-    // file carries its own); a misspelt or retired `precision=` still
-    // must not pass for a run at that precision.
-    if let Err(code) = solver_profile(&map) {
-        return code;
-    }
-    let threads: usize = get(&map, "threads", 1);
+    let policy = policy_spec(&map)?;
+    let threads: usize = get(&map, "threads", 1)?;
     let scenarios: Vec<Scenario> = if let Some(path) = map.get("scenarios") {
-        let body = match std::fs::read_to_string(path) {
-            Ok(body) => body,
-            Err(e) => {
-                eprintln!("failed to read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match serde_json::from_str(&body) {
-            Ok(grid) => grid,
-            Err(e) => {
-                eprintln!("failed to parse {path} as a scenario grid: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let body = std::fs::read_to_string(path)
+            .map_err(|e| CliError::Failed(format!("failed to read {path}: {e}")))?;
+        serde_json::from_str(&body).map_err(|e| {
+            CliError::Failed(format!("failed to parse {path} as a scenario grid: {e}"))
+        })?
     } else {
-        let seeds: u64 = get(&map, "seeds", 4);
-        let hours: f64 = get(&map, "hours", 0.5);
-        let f: f64 = get(&map, "f", 2.0);
-        let policy = match map.get("policy").map(String::as_str) {
-            Some("fop") => PolicySpec::Fop,
-            Some("sjs") => PolicySpec::Sjs,
-            Some("ljs") => PolicySpec::Ljs,
-            Some("srn") => PolicySpec::Srn,
-            Some("perq") | None => PolicySpec::perq_default(),
-            Some(other) => {
-                eprintln!("unknown policy '{other}', using perq");
-                PolicySpec::perq_default()
-            }
-        };
-        let engine = engine(&map);
-        let topo = match topology(&map) {
-            Ok(t) => t,
-            Err(code) => return code,
-        };
-        let mut grid = fig8_style_grid(system(&map), hours * 3600.0, 0..seeds);
+        let seeds: u64 = get(&map, "seeds", 4)?;
+        let hours: f64 = get(&map, "hours", 0.5)?;
+        let f: f64 = get(&map, "f", 2.0)?;
+        let topo = topology(&map)?;
+        let mut grid = fig8_style_grid(system(&map)?, hours * 3600.0, 0..seeds);
         for s in grid.iter_mut() {
             s.f = f;
             s.policy = policy.clone();
-            s.engine = engine;
             s.topology = topo.clone();
         }
         grid
     };
     if scenarios.is_empty() {
-        eprintln!("scenario grid is empty");
-        return ExitCode::from(2);
+        return usage_error("scenario grid is empty".into());
     }
     println!(
         "campaign: {} scenario(s) on {} thread(s)",
@@ -683,20 +658,14 @@ fn cmd_campaign(map: HashMap<String, String>) -> ExitCode {
         threads.max(1)
     );
 
-    let recorder = metrics_recorder(&map);
+    let recorder = recorder_for(&map, "metrics-out");
     let opts = CampaignOptions {
         threads,
-        parity_preflight_steps: get(&map, "parity-steps", 0),
-        enclave_threads: get(&map, "enclave-threads", 1),
+        enclave_threads: get(&map, "enclave-threads", 1)?,
     };
     let start = std::time::Instant::now();
-    let outcomes = match try_run_campaign(&scenarios, &opts, &recorder) {
-        Ok(outcomes) => outcomes,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let outcomes = try_run_campaign(&scenarios, &opts, &recorder)
+        .map_err(|e| CliError::Failed(e.to_string()))?;
     let elapsed = start.elapsed().as_secs_f64();
 
     println!(
@@ -714,88 +683,54 @@ fn cmd_campaign(map: HashMap<String, String>) -> ExitCode {
         );
     }
     println!("campaign wall-clock: {elapsed:.2} s");
-    if let Err(code) = write_metrics(&map, &recorder) {
-        return code;
-    }
-    if let Some(path) = map.get("json") {
-        match serde_json::to_string_pretty(&outcomes) {
-            Ok(body) => {
-                if let Err(e) = std::fs::write(path, body) {
-                    eprintln!("failed to write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("full outcomes written to {path}");
-            }
-            Err(e) => {
-                eprintln!("failed to serialize outcomes: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    write_metrics(&map, &recorder)?;
+    write_json(
+        &map,
+        || serde_json::to_string_pretty(&outcomes),
+        "full outcomes",
+    )
 }
 
-/// The policy-zoo ablation: `zoo_ablation_grid` (five `perq-gym` zoo
+/// The policy-zoo ablation: `zoo_ablation_grid` (four `perq-gym` zoo
 /// policies × five evaluation regimes) run on the campaign engine and
-/// folded into the fixed-width `AblationTable`, with the
-/// hybrid-vs-plain-PERQ completed-job differential the PR's acceptance
-/// gate reads. The grid is pure data and every scenario is seeded, so
-/// the table (and the `json=` export) is byte-identical at any thread
-/// count and on every re-run.
-fn cmd_zoo(map: HashMap<String, String>) -> ExitCode {
-    use perq_campaign::{ablation_table, try_run_campaign, zoo_ablation_grid, CampaignOptions};
+/// folded into the fixed-width `AblationTable`. The grid is pure data
+/// and every scenario is seeded, so the table (and the `json=` export)
+/// is byte-identical at any thread count and on every re-run.
+fn cmd_zoo(map: Args) -> CliResult {
+    use perq_campaign::{
+        ablation_policies, ablation_table, try_run_campaign, zoo_ablation_grid, CampaignOptions,
+    };
 
-    let seed: u64 = get(&map, "seed", 7);
-    let threads: usize = get(&map, "threads", 1);
+    let seed: u64 = get(&map, "seed", 7)?;
+    let threads: usize = get(&map, "threads", 1)?;
     let grid = zoo_ablation_grid(seed, map.get("swf").map(String::as_str));
+    let policies = ablation_policies(seed).len();
     println!(
-        "zoo ablation: {} scenario(s) (5 policies x {} regimes) on {} thread(s)",
+        "zoo ablation: {} scenario(s) ({policies} policies x {} regimes) on {} thread(s)",
         grid.len(),
-        grid.len() / 5,
+        grid.len() / policies,
         threads.max(1)
     );
 
-    let recorder = metrics_recorder(&map);
+    let recorder = recorder_for(&map, "metrics-out");
     let opts = CampaignOptions {
         threads,
         ..Default::default()
     };
     let start = std::time::Instant::now();
-    let outcomes = match try_run_campaign(&grid, &opts, &recorder) {
-        Ok(outcomes) => outcomes,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let outcomes =
+        try_run_campaign(&grid, &opts, &recorder).map_err(|e| CliError::Failed(e.to_string()))?;
     let elapsed = start.elapsed().as_secs_f64();
 
     let table = ablation_table(&outcomes);
     print!("{}", table.render());
-    println!("\nZOO-HYBRID vs ZOO-PERQ (completed-job differential per regime):");
-    for (regime, diff) in table.compare("ZOO-HYBRID", "ZOO-PERQ") {
-        println!("  {regime:<22} {diff:+}");
-    }
     println!("zoo wall-clock: {elapsed:.2} s");
-    if let Err(code) = write_metrics(&map, &recorder) {
-        return code;
-    }
-    if let Some(path) = map.get("json") {
-        match serde_json::to_string_pretty(&table) {
-            Ok(body) => {
-                if let Err(e) = std::fs::write(path, body) {
-                    eprintln!("failed to write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("ablation table written to {path}");
-            }
-            Err(e) => {
-                eprintln!("failed to serialize the table: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    write_metrics(&map, &recorder)?;
+    write_json(
+        &map,
+        || serde_json::to_string_pretty(&table),
+        "ablation table",
+    )
 }
 
 /// Scrapes `http://host:port/path` with a raw-TCP `GET` (no HTTP client
@@ -835,49 +770,35 @@ fn scrape(url: &str) -> Result<String, String> {
     Ok(body.to_string())
 }
 
-fn cmd_metrics_validate(map: HashMap<String, String>) -> ExitCode {
+fn cmd_metrics_validate(map: Args) -> CliResult {
     let (source, body) = if let Some(url) = map.get("url") {
-        match scrape(url) {
-            Ok(body) => (url.clone(), body),
-            Err(e) => {
-                eprintln!("failed to scrape {url}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let body =
+            scrape(url).map_err(|e| CliError::Failed(format!("failed to scrape {url}: {e}")))?;
+        (url, body)
     } else if let Some(path) = map.get("file") {
-        match std::fs::read_to_string(path) {
-            Ok(body) => (path.clone(), body),
-            Err(e) => {
-                eprintln!("failed to read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let body = std::fs::read_to_string(path)
+            .map_err(|e| CliError::Failed(format!("failed to read {path}: {e}")))?;
+        (path, body)
     } else {
-        eprintln!("metrics-validate needs file=PATH or url=http://HOST:PORT/metrics");
-        return ExitCode::from(2);
+        return usage_error(
+            "metrics-validate needs file=PATH or url=http://HOST:PORT/metrics".into(),
+        );
     };
-    let path = &source;
     let required: Vec<&str> = map
         .get("require")
         .map(|r| r.split(',').filter(|s| !s.is_empty()).collect())
         .unwrap_or_default();
-    match perq_telemetry::validate_prometheus(&body, &required) {
-        Ok(()) => {
-            println!(
-                "{path}: valid Prometheus exposition; {} required metric(s) present",
-                required.len()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    perq_telemetry::validate_prometheus(&body, &required)
+        .map_err(|e| CliError::Failed(format!("{source}: {e}")))?;
+    println!(
+        "{source}: valid Prometheus exposition; {} required metric(s) present",
+        required.len()
+    );
+    Ok(())
 }
 
 /// Parses `KEY=A:B` into a pair of floats.
-fn pair(map: &HashMap<String, String>, key: &str) -> Result<Option<(f64, f64)>, ExitCode> {
+fn pair(map: &Args, key: &str) -> CliResult<Option<(f64, f64)>> {
     let Some(spec) = map.get(key) else {
         return Ok(None);
     };
@@ -886,61 +807,34 @@ fn pair(map: &HashMap<String, String>, key: &str) -> Result<Option<(f64, f64)>, 
         .and_then(|(a, b)| Some((a.parse::<f64>().ok()?, b.parse::<f64>().ok()?)))
     {
         Some(pair) => Ok(Some(pair)),
-        None => {
-            eprintln!("bad {key} spec '{spec}' (expected A:B)");
-            Err(ExitCode::from(2))
-        }
+        None => usage_error(format!("bad {key} spec '{spec}' (expected A:B)")),
     }
 }
 
-fn parse_mode(
-    map: &HashMap<String, String>,
-    default: perq_trace::ParseMode,
-) -> perq_trace::ParseMode {
+fn parse_mode(map: &Args, default: perq_trace::ParseMode) -> CliResult<perq_trace::ParseMode> {
     match map.get("mode").map(String::as_str) {
-        Some("strict") => perq_trace::ParseMode::Strict,
-        Some("lenient") => perq_trace::ParseMode::Lenient,
-        Some(other) => {
-            eprintln!("unknown mode '{other}' (expected strict|lenient), using default");
-            default
-        }
-        None => default,
+        Some("strict") => Ok(perq_trace::ParseMode::Strict),
+        Some("lenient") => Ok(perq_trace::ParseMode::Lenient),
+        Some(other) => usage_error(format!("unknown mode '{other}' (expected strict|lenient)")),
+        None => Ok(default),
     }
 }
 
 /// Reads and parses `file=` in the given mode, reporting any skipped
 /// lines. Lenient mode never fails; strict mode prints the
 /// line-numbered diagnostic and bails.
-fn load_trace(
-    map: &HashMap<String, String>,
-    mode: perq_trace::ParseMode,
-) -> Result<perq_trace::ParseReport, ExitCode> {
+fn load_trace(map: &Args, mode: perq_trace::ParseMode) -> CliResult<perq_trace::ParseReport> {
     let Some(path) = map.get("file") else {
-        eprintln!("trace commands need file=LOG.swf");
-        return Err(ExitCode::from(2));
+        return usage_error("trace commands need file=LOG.swf".into());
     };
-    let body = match std::fs::read_to_string(path) {
-        Ok(body) => body,
-        Err(e) => {
-            eprintln!("failed to read {path}: {e}");
-            return Err(ExitCode::FAILURE);
-        }
-    };
-    match perq_trace::parse_swf_report(&body, mode) {
-        Ok(report) => Ok(report),
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            Err(ExitCode::FAILURE)
-        }
-    }
+    let body = std::fs::read_to_string(path)
+        .map_err(|e| CliError::Failed(format!("failed to read {path}: {e}")))?;
+    perq_trace::parse_swf_report(&body, mode).map_err(|e| CliError::Failed(format!("{path}: {e}")))
 }
 
-fn cmd_trace_inspect(map: HashMap<String, String>) -> ExitCode {
+fn cmd_trace_inspect(map: Args) -> CliResult {
     use perq_trace::{CalibrationReport, CalibrationTargets, TraceStats};
-    let report = match load_trace(&map, parse_mode(&map, perq_trace::ParseMode::Lenient)) {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
+    let report = load_trace(&map, parse_mode(&map, perq_trace::ParseMode::Lenient)?)?;
     let trace = &report.trace;
     println!("header lines      : {}", trace.header.lines.len());
     for key in ["Computer", "MaxNodes", "MaxProcs", "UnixStartTime"] {
@@ -970,23 +864,21 @@ fn cmd_trace_inspect(map: HashMap<String, String>) -> ExitCode {
         Some("trinity") => Some(CalibrationTargets::trinity()),
         Some("none") | None => None,
         Some(other) => {
-            eprintln!("unknown calib '{other}' (expected mira|trinity|none)");
-            return ExitCode::from(2);
+            return usage_error(format!(
+                "unknown calib '{other}' (expected mira|trinity|none)"
+            ))
         }
     };
     if let Some(targets) = targets {
         println!("\ncalibration vs Fig. 1 targets ({}):", targets.name);
         print!("{}", CalibrationReport::compare(&stats, &targets));
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_trace_validate(map: HashMap<String, String>) -> ExitCode {
-    let mode = parse_mode(&map, perq_trace::ParseMode::Strict);
-    let report = match load_trace(&map, mode) {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
+fn cmd_trace_validate(map: Args) -> CliResult {
+    let mode = parse_mode(&map, perq_trace::ParseMode::Strict)?;
+    let report = load_trace(&map, mode)?;
     println!(
         "{}: {} record(s) parsed, {} line(s) skipped",
         map["file"],
@@ -997,37 +889,30 @@ fn cmd_trace_validate(map: HashMap<String, String>) -> ExitCode {
         println!("  skipped line {}: {}", d.line, d.message);
     }
     if report.trace.records.is_empty() {
-        eprintln!("no valid records");
-        return ExitCode::FAILURE;
+        return Err(CliError::Failed("no valid records".into()));
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Applies the shared transform order (window → arrival scale → node
 /// rescale → runtime clamp) from the key=value spec.
-fn apply_transforms(
-    trace: &mut perq_trace::SwfTrace,
-    map: &HashMap<String, String>,
-    rescale_key: &str,
-) -> Result<(), ExitCode> {
+fn apply_transforms(trace: &mut perq_trace::SwfTrace, map: &Args, rescale_key: &str) -> CliResult {
     if let Some((start, end)) = pair(map, "window")? {
         trace.slice_window(start, end);
     }
     if let Some(scale) = map.get("scale") {
         match scale.parse::<f64>() {
             Ok(f) if f > 0.0 && f.is_finite() => trace.scale_arrivals(f),
-            _ => {
-                eprintln!("bad scale '{scale}' (expected a positive number)");
-                return Err(ExitCode::from(2));
-            }
+            _ => return usage_error(format!("bad scale '{scale}' (expected a positive number)")),
         }
     }
     if let Some(nodes) = map.get(rescale_key) {
         match nodes.parse::<usize>() {
             Ok(n) if n > 0 => trace.rescale_nodes(n),
             _ => {
-                eprintln!("bad {rescale_key} '{nodes}' (expected a positive integer)");
-                return Err(ExitCode::from(2));
+                return usage_error(format!(
+                    "bad {rescale_key} '{nodes}' (expected a positive integer)"
+                ))
             }
         }
     }
@@ -1037,125 +922,80 @@ fn apply_transforms(
     Ok(())
 }
 
-fn cmd_trace_convert(map: HashMap<String, String>) -> ExitCode {
-    let Some(out) = map.get("out").cloned() else {
-        eprintln!("trace convert needs out=OUT.swf");
-        return ExitCode::from(2);
+fn cmd_trace_convert(map: Args) -> CliResult {
+    let Some(out) = map.get("out") else {
+        return usage_error("trace convert needs out=OUT.swf".into());
     };
-    let mut report = match load_trace(&map, parse_mode(&map, perq_trace::ParseMode::Lenient)) {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-    if let Err(code) = apply_transforms(&mut report.trace, &map, "nodes") {
-        return code;
-    }
-    let body = perq_trace::write_swf(&report.trace);
-    if let Err(e) = std::fs::write(&out, body) {
-        eprintln!("failed to write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
+    let mut report = load_trace(&map, parse_mode(&map, perq_trace::ParseMode::Lenient)?)?;
+    apply_transforms(&mut report.trace, &map, "nodes")?;
+    std::fs::write(out, perq_trace::write_swf(&report.trace))
+        .map_err(|e| CliError::Failed(format!("failed to write {out}: {e}")))?;
     println!(
         "{out}: {} record(s) written ({} skipped on parse)",
         report.trace.records.len(),
         report.skipped.len()
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_trace_replay(map: HashMap<String, String>) -> ExitCode {
-    use perq_campaign::{
-        try_run_campaign, CampaignOptions, PolicySpec, Scenario, SwfReplayOptions,
-    };
+fn cmd_trace_replay(map: Args) -> CliResult {
+    use perq_campaign::{try_run_campaign, CampaignOptions, Scenario, SwfReplayOptions};
     let Some(path) = map.get("file").cloned() else {
-        eprintln!("trace replay needs file=LOG.swf");
-        return ExitCode::from(2);
+        return usage_error("trace replay needs file=LOG.swf".into());
     };
-    if let Err(code) = solver_profile(&map) {
-        return code;
-    }
-    let system = system(&map);
-    let f: f64 = get(&map, "f", 2.0);
-    let hours: f64 = get(&map, "hours", 1.0);
-    let seed: u64 = get(&map, "seed", 42);
-    let policy = match map.get("policy").map(String::as_str) {
-        Some("fop") => PolicySpec::Fop,
-        Some("sjs") => PolicySpec::Sjs,
-        Some("ljs") => PolicySpec::Ljs,
-        Some("srn") => PolicySpec::Srn,
-        Some("perq") | None => PolicySpec::perq_default(),
-        Some(other) => {
-            eprintln!("unknown policy '{other}', using perq");
-            PolicySpec::perq_default()
-        }
-    };
-    let window = match pair(&map, "window") {
-        Ok(w) => w,
-        Err(code) => return code,
-    };
-    let clamp = match pair(&map, "clamp") {
-        Ok(c) => c,
-        Err(code) => return code,
-    };
+    let policy = policy_spec(&map)?;
+    let system = system(&map)?;
+    let f: f64 = get(&map, "f", 2.0)?;
+    let hours: f64 = get(&map, "hours", 1.0)?;
+    let seed: u64 = get(&map, "seed", 42)?;
     let options = SwfReplayOptions {
-        arrival_scale: get(&map, "scale", 1.0),
-        window_s: window,
-        clamp_runtime_s: clamp,
-        synth_seed: map.get("synth-seed").and_then(|v| v.parse().ok()),
-        lenient: parse_mode(&map, perq_trace::ParseMode::Lenient) == perq_trace::ParseMode::Lenient,
-        honor_arrivals: get(&map, "arrivals", false),
+        arrival_scale: get(&map, "scale", 1.0)?,
+        window_s: pair(&map, "window")?,
+        clamp_runtime_s: pair(&map, "clamp")?,
+        synth_seed: opt(&map, "synth-seed")?,
+        lenient: parse_mode(&map, perq_trace::ParseMode::Lenient)?
+            == perq_trace::ParseMode::Lenient,
+        honor_arrivals: get(&map, "arrivals", false)?,
         ..SwfReplayOptions::default()
     };
-    let engine = engine(&map);
     let scenario = Scenario::new("replay", system.clone(), f, hours * 3600.0, seed, policy)
-        .with_swf(path.clone(), options)
-        .with_engine(engine);
+        .with_swf(path.clone(), options);
     println!(
-        "replaying {path} on {}: f={f:.2}, {hours} h, seed {seed} ({engine} engine)",
+        "replaying {path} on {}: f={f:.2}, {hours} h, seed {seed}",
         system.name
     );
-    let recorder = metrics_recorder(&map);
-    let outcomes = match try_run_campaign(
+    let recorder = recorder_for(&map, "metrics-out");
+    let outcomes = try_run_campaign(
         std::slice::from_ref(&scenario),
-        &CampaignOptions {
-            threads: 1,
-            ..Default::default()
-        },
+        &CampaignOptions::default(),
         &recorder,
-    ) {
-        Ok(outcomes) => outcomes,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    )
+    .map_err(|e| CliError::Failed(e.to_string()))?;
     summarize(&outcomes[0].result, None);
-    if let Err(code) = write_metrics(&map, &recorder) {
-        return code;
-    }
-    ExitCode::SUCCESS
+    write_metrics(&map, &recorder)
 }
 
-fn cmd_trace(args: &[String]) -> ExitCode {
+fn cmd_trace(args: &[String]) -> CliResult {
     let Some(action) = args.first() else {
-        eprintln!("trace needs an action: inspect|validate|convert|replay");
-        return usage();
+        return usage_error(format!(
+            "trace needs an action: inspect|validate|convert|replay\n{USAGE}"
+        ));
     };
-    let map = parse_args(&args[1..]);
+    let map = parse_args(&args[1..])?;
     match action.as_str() {
         "inspect" => cmd_trace_inspect(map),
         "validate" => cmd_trace_validate(map),
         "convert" => cmd_trace_convert(map),
         "replay" => cmd_trace_replay(map),
-        other => {
-            eprintln!("unknown trace action '{other}' (expected inspect|validate|convert|replay)");
-            usage()
-        }
+        other => usage_error(format!(
+            "unknown trace action '{other}' (expected inspect|validate|convert|replay)\n{USAGE}"
+        )),
     }
 }
 
-fn cmd_stress(map: HashMap<String, String>) -> ExitCode {
-    let clients: usize = get(&map, "clients", 100_000);
-    let connections: usize = get(&map, "connections", 4);
+fn cmd_stress(map: Args) -> CliResult {
+    let clients: usize = get(&map, "clients", 100_000)?;
+    let connections: usize = get(&map, "connections", 4)?;
     let report = perq_proto::stress::run_stress(clients, connections);
     println!(
         "collected {} reports in {:.3} s ({:.0} reports/s)",
@@ -1163,26 +1003,24 @@ fn cmd_stress(map: HashMap<String, String>) -> ExitCode {
         report.collection_time.as_secs_f64(),
         report.reports_per_second
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_serve(map: HashMap<String, String>) -> ExitCode {
+fn cmd_serve(map: Args) -> CliResult {
     let mut cfg = perq_serve::ServeConfig::default();
-    cfg.wp_nodes = get(&map, "wp", cfg.wp_nodes);
-    cfg.interval_s = get(&map, "interval", cfg.interval_s);
-    cfg.tick = std::time::Duration::from_millis(get(&map, "tick-ms", 50u64));
-    cfg.decide_budget = std::time::Duration::from_millis(get(&map, "decide-budget-ms", 20u64));
-    cfg.heartbeat_ticks = get(&map, "heartbeat", cfg.heartbeat_ticks);
-    cfg.max_ticks = map.get("ticks").and_then(|v| v.parse().ok());
+    cfg.wp_nodes = get(&map, "wp", cfg.wp_nodes)?;
+    cfg.interval_s = get(&map, "interval", cfg.interval_s)?;
+    cfg.tick = std::time::Duration::from_millis(get(&map, "tick-ms", 50u64)?);
+    cfg.decide_budget = std::time::Duration::from_millis(get(&map, "decide-budget-ms", 20u64)?);
+    cfg.heartbeat_ticks = get(&map, "heartbeat", cfg.heartbeat_ticks)?;
+    cfg.max_ticks = opt(&map, "ticks")?;
 
     let policy_name = map.get("policy").map(String::as_str).unwrap_or("fop");
-    let profile = match solver_profile(&map) {
-        Ok(profile) => profile,
-        Err(code) => return code,
-    };
+    let profile = solver_profile(&map)?;
     let Some(policy) = perq_serve::make_policy_with_profile(policy_name, profile) else {
-        eprintln!("unknown serve policy '{policy_name}' (expected fop|perq)");
-        return ExitCode::from(2);
+        return usage_error(format!(
+            "unknown serve policy '{policy_name}' (expected fop|perq)"
+        ));
     };
     let listen = map
         .get("listen")
@@ -1206,35 +1044,25 @@ fn cmd_serve(map: HashMap<String, String>) -> ExitCode {
             None => String::new(),
         }
     );
-    match perq_serve::serve_tcp(cfg, policy, &listen, http_addr, rec.clone(), engine.clone()) {
-        Ok(summary) => {
-            println!(
-                "served {} ticks: {} live node(s), {} write-off(s)",
-                summary.ticks, summary.live_nodes, summary.writeoffs
-            );
-            if let Err(code) = write_metrics(&map, &rec) {
-                return code;
-            }
-            if let Err(code) = write_engine_metrics(&map, &engine) {
-                return code;
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("serve failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let summary =
+        perq_serve::serve_tcp(cfg, policy, &listen, http_addr, rec.clone(), engine.clone())
+            .map_err(|e| CliError::Failed(format!("serve failed: {e}")))?;
+    println!(
+        "served {} ticks: {} live node(s), {} write-off(s)",
+        summary.ticks, summary.live_nodes, summary.writeoffs
+    );
+    write_metrics(&map, &rec)?;
+    write_prometheus(&map, "engine-metrics-out", &engine, "engine metrics")
 }
 
-fn cmd_swarm(map: HashMap<String, String>) -> ExitCode {
+fn cmd_swarm(map: Args) -> CliResult {
     let addr = map
         .get("addr")
         .cloned()
         .unwrap_or_else(|| "127.0.0.1:7070".to_string());
-    let nodes: u32 = get(&map, "nodes", 64);
-    let interval: f64 = get(&map, "interval", 1.0);
-    let seed: u64 = get(&map, "seed", 42);
+    let nodes: u32 = get(&map, "nodes", 64)?;
+    let interval: f64 = get(&map, "interval", 1.0)?;
+    let seed: u64 = get(&map, "seed", 42)?;
     println!("connecting {nodes} worker(s) to {addr} (interval {interval}s, seed {seed})");
     let outcomes = perq_serve::run_tcp_swarm(&addr, nodes, interval, seed);
     let mut failed = 0usize;
@@ -1249,38 +1077,54 @@ fn cmd_swarm(map: HashMap<String, String>) -> ExitCode {
         outcomes.len() - failed
     );
     if failed == 0 {
-        ExitCode::SUCCESS
+        Ok(())
     } else {
-        ExitCode::FAILURE
+        Err(CliError::Failed(format!("{failed} worker(s) failed")))
     }
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+fn run(args: &[String]) -> CliResult {
     let Some(cmd) = args.first() else {
-        return usage();
+        return usage_error(USAGE.into());
     };
-    let map = parse_args(&args[1..]);
+    if cmd == "trace" {
+        return cmd_trace(&args[1..]);
+    }
+    let map = parse_args(&args[1..])?;
     match cmd.as_str() {
         "simulate" => cmd_simulate(map),
         "train" => cmd_train(map),
         "prototype" => cmd_prototype(map),
         "campaign" => cmd_campaign(map),
         "zoo" => cmd_zoo(map),
-        "trace" => cmd_trace(&args[1..]),
         "serve" => cmd_serve(map),
         "swarm" => cmd_swarm(map),
         "stress" => cmd_stress(map),
         "metrics-validate" => cmd_metrics_validate(map),
-        _ => usage(),
+        _ => usage_error(USAGE.into()),
+    }
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match run(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(CliError::Usage(msg)) => {
+            eprintln!("{msg}");
+            ExitCode::from(2)
+        }
+        Err(CliError::Failed(msg)) => {
+            eprintln!("{msg}");
+            ExitCode::FAILURE
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::USAGE;
+    use super::*;
 
-    /// Every dispatch arm in `main` must appear in the usage text — the
+    /// Every dispatch arm in `run` must appear in the usage text — the
     /// `perq help` audit that catches a subcommand added without docs.
     #[test]
     fn usage_covers_every_subcommand() {
@@ -1300,6 +1144,98 @@ mod tests {
                 USAGE.contains(&format!("perq {cmd}")),
                 "usage text is missing the '{cmd}' subcommand"
             );
+        }
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// The usage-error line a command line produces; panics on anything
+    /// else (success or a runtime failure).
+    fn usage_line(list: &[&str]) -> String {
+        match run(&args(list)) {
+            Err(CliError::Usage(msg)) => msg,
+            other => panic!("{list:?}: expected a usage error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unknown_spellings_are_usage_errors_naming_the_accepted_ones() {
+        let msg = usage_line(&["simulate", "system=summit"]);
+        assert!(
+            msg.contains("system 'summit'") && msg.contains("mira|trinity|tardis"),
+            "{msg}"
+        );
+        for cmd in [
+            &["simulate", "system=tardis"][..],
+            &["prototype"][..],
+            &["campaign", "system=tardis"][..],
+            &["trace", "replay", "file=none.swf"][..],
+        ] {
+            let mut line = cmd.to_vec();
+            line.push("policy=fair");
+            let msg = usage_line(&line);
+            assert!(
+                msg.contains("policy 'fair'") && msg.contains("perq|fop|sjs|ljs|srn"),
+                "{line:?}: {msg}"
+            );
+        }
+        for action in ["inspect", "validate", "convert", "replay"] {
+            let msg = usage_line(&["trace", action, "file=none.swf", "out=x", "mode=sloppy"]);
+            assert!(
+                msg.contains("mode 'sloppy'") && msg.contains("strict|lenient"),
+                "{action}: {msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn unparsable_values_are_usage_errors_naming_the_key() {
+        for line in [
+            &["simulate", "system=tardis", "hours=abc"][..],
+            &["simulate", "system=tardis", "faults=soon"][..],
+            &[
+                "simulate",
+                "system=tardis",
+                "topology=enclaves:2",
+                "enclave-threads=x",
+            ][..],
+            &["campaign", "seeds=-1"][..],
+            &["prototype", "wp=eight"][..],
+            &["trace", "replay", "file=none.swf", "arrivals=yes"][..],
+            &["trace", "replay", "file=none.swf", "synth-seed=1.5"][..],
+            &["serve", "ticks=forever"][..],
+            &["swarm", "nodes=many"][..],
+            &["zoo", "threads=two"][..],
+        ] {
+            let msg = usage_line(line);
+            let (key, value) = line.last().unwrap().split_once('=').unwrap();
+            assert!(
+                msg.contains(&format!("bad {key} '{value}'")),
+                "{line:?}: {msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn retired_engine_keys_are_usage_errors_saying_there_is_one_loop() {
+        for line in [
+            &["simulate", "system=tardis", "engine=event"][..],
+            &["simulate", "engine=step"][..],
+            &["campaign", "engine=event", "parity-steps=100"][..],
+            &["campaign", "parity-steps=100"][..],
+            &[
+                "trace",
+                "replay",
+                "file=year.swf",
+                "engine=event",
+                "arrivals=true",
+            ][..],
+        ] {
+            let msg = usage_line(line);
+            assert!(msg.contains("retired") && msg.contains("one loop"), "{msg}");
+            assert_eq!(msg.lines().count(), 1, "one line, not the usage page");
         }
     }
 }

@@ -71,9 +71,6 @@ pub struct PerqPolicy {
     /// feedback, so this cuts solver iterations without changing what
     /// the solver converges to.
     prev_traj: HashMap<u64, Vec<f64>>,
-    /// A warm start was seeded for a job that has no adapter (yet), so
-    /// `prev_traj` may hold an id the next context does not list.
-    seeded_untracked: bool,
     dither_frac: f64,
     group_threshold: usize,
     max_groups: usize,
@@ -102,7 +99,6 @@ impl PerqPolicy {
             target_gen: TargetGenerator::new(config.improvement_ratio),
             adapters: HashMap::new(),
             prev_traj: HashMap::new(),
-            seeded_untracked: false,
             dither_frac: config.dither_frac,
             group_threshold: config.group_threshold,
             max_groups: config.max_groups,
@@ -151,30 +147,6 @@ impl PerqPolicy {
     /// The target generator in use (diagnostics).
     pub fn target_generator(&self) -> &TargetGenerator {
         &self.target_gen
-    }
-
-    /// The MPC horizon length `m` — the length a seeded warm-start
-    /// trajectory must have.
-    pub fn horizon(&self) -> usize {
-        self.controller.settings().horizon
-    }
-
-    /// Seeds the FISTA warm start for a job before its next decision.
-    ///
-    /// Normally `prev_traj` is populated from the previous decision's
-    /// own solution, so a *new* job starts the solver from its current
-    /// cap held flat across the horizon. A forecaster that has seen the
-    /// job's application before (the gym's hybrid policy feeds
-    /// `perq-sysid` RLS demand predictions through here) can do better
-    /// by seeding the predicted cap-fraction trajectory instead. This
-    /// only moves the solver's starting point: under the iteration cap
-    /// (or a decide deadline) a closer seed yields an earlier, slightly
-    /// better iterate, which is exactly the hybrid's edge. Trajectories
-    /// whose length differs from [`Self::horizon`] are ignored at
-    /// decision time.
-    pub fn seed_warm_start(&mut self, job_id: u64, traj_frac: Vec<f64>) {
-        self.seeded_untracked |= !self.adapters.contains_key(&job_id);
-        self.prev_traj.insert(job_id, traj_frac);
     }
 }
 
@@ -243,11 +215,8 @@ impl PowerPolicy for PerqPolicy {
         let departed = self.adapters.len() > live;
         if departed {
             self.adapters.retain(|_, a| a.last_seen == epoch);
-        }
-        if departed || self.seeded_untracked {
             let adapters = &self.adapters;
             self.prev_traj.retain(|id, _| adapters.contains_key(id));
-            self.seeded_untracked = false;
         }
 
         // 2. Targets.
@@ -537,10 +506,6 @@ mod tests {
                 told.job_departed(*gone);
                 caps.remove(gone);
             }
-            // A warm start seeded for a job that never shows up must not
-            // outlive the next decision on either side.
-            untold.seed_warm_start(99, vec![0.5; untold.horizon()]);
-            told.seed_warm_start(99, vec![0.5; told.horizon()]);
             let jobs: Vec<JobView> = ids
                 .iter()
                 .map(|&id| {

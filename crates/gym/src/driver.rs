@@ -6,9 +6,8 @@ use perq_telemetry::Recorder;
 
 /// A policy-zoo citizen: acts on typed [`Observation`]s and receives
 /// shaped rewards. One trait covers hand-written baselines, the
-/// learning bandit, and wrapped `PowerPolicy` implementations (PERQ,
-/// the forecaster hybrid), so the ablation compares them on exactly
-/// equal footing.
+/// learning bandit, and wrapped `PowerPolicy` implementations (PERQ),
+/// so the ablation compares them on exactly equal footing.
 ///
 /// `Send` is a supertrait because campaign workers move zoo policies
 /// across threads.
@@ -102,11 +101,12 @@ pub struct Transitions {
 /// snapshots each decision context into an [`Observation`], scores the
 /// previous transition, and lowers the chosen [`Action`] to caps.
 ///
-/// Engine parity: on an empty decision context (the step engine calls
-/// the policy on idle intervals; the event engine skips them) the
-/// driver returns immediately — no observation, no reward, no agent
-/// call, no telemetry — so both engines drive the agent through an
-/// identical decision sequence.
+/// Idle intervals: on an empty decision context (the simulator skips
+/// most idle intervals but executes a few around each arrival, and its
+/// `run_stepper` oracle executes all of them) the driver returns
+/// immediately — no observation, no reward, no agent call, no
+/// telemetry — so the agent sees the same decision sequence however
+/// many idle intervals were executed.
 pub struct ZooDriver<A: ZooPolicy> {
     agent: A,
     reward: RewardSpec,
@@ -172,8 +172,8 @@ impl<A: ZooPolicy> PowerPolicy for ZooDriver<A> {
 
     fn assign(&mut self, ctx: &PolicyContext<'_>) -> Vec<PowerAssignment> {
         if ctx.jobs.is_empty() {
-            // Idle interval: the event engine never calls here, so the
-            // stepper must not let it reach the agent either.
+            // Idle interval: whether the simulator executes or skips
+            // it is an implementation detail the agent must not see.
             return Vec::new();
         }
         if !self.started {

@@ -1,8 +1,8 @@
 use crate::driver::{Transitions, ZooDriver, ZooPolicy};
 use crate::reward::RewardSpec;
 use perq_sim::{
-    BudgetSchedule, Cluster, ClusterConfig, FaultPlan, FaultRates, JobSpec, SimEngine, SimResult,
-    SystemModel, TraceGenerator,
+    BudgetSchedule, Cluster, ClusterConfig, FaultPlan, FaultRates, JobSpec, SimResult, SystemModel,
+    TraceGenerator,
 };
 use perq_telemetry::Recorder;
 use serde::{Deserialize, Serialize};
@@ -25,7 +25,7 @@ pub enum EnvWorkload {
 }
 
 /// Everything that pins an episode bit-for-bit: system shape, seed,
-/// workload, optional budget schedule and fault injection, engine.
+/// workload, optional budget schedule and fault injection.
 /// Pure data (serde), so a scenario file can carry a whole environment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EnvConfig {
@@ -49,9 +49,6 @@ pub struct EnvConfig {
     /// [`FaultRates::adversarial_telemetry`].
     #[serde(default)]
     pub faults: Option<(u64, FaultRates)>,
-    /// Simulator core. Both engines produce identical episodes.
-    #[serde(default)]
-    pub engine: SimEngine,
 }
 
 impl EnvConfig {
@@ -68,7 +65,6 @@ impl EnvConfig {
             workload: EnvWorkload::Saturating,
             budget_schedule: None,
             faults: None,
-            engine: SimEngine::Step,
         }
     }
 
@@ -125,7 +121,7 @@ pub struct Episode {
 /// Determinism contract (pinned by `tests/determinism.rs`): two
 /// environments with equal [`EnvConfig`] and [`RewardSpec`], driving
 /// agents in equal states, produce byte-identical observation streams,
-/// rewards, results, and telemetry exports — under either engine.
+/// rewards, results, and telemetry exports.
 pub struct GymEnv {
     config: EnvConfig,
     reward: RewardSpec,
@@ -191,7 +187,7 @@ impl GymEnv {
         if self.capture {
             driver = driver.with_capture();
         }
-        let result = cluster.run_engine(&mut driver, self.config.engine);
+        let result = cluster.run(&mut driver);
         let decisions = driver.decisions();
         let (_, transitions, total_reward) = driver.finish();
         let index = self.episodes;
@@ -264,7 +260,6 @@ mod tests {
         let mut config = light_config(7);
         config.budget_schedule = Some(BudgetSchedule::diurnal(2320.0, 0.7, 1.0, 600.0, 3600.0));
         config.faults = Some((9, FaultRates::adversarial_telemetry()));
-        config.engine = SimEngine::Event;
         let json = serde_json::to_string(&config).unwrap();
         let back: EnvConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(config, back);

@@ -8,7 +8,7 @@
 //! - **Environment** ([`GymEnv`]): builds a seed-identical cluster per
 //!   episode from a pure-data [`EnvConfig`] (system shape, workload,
 //!   optional time-varying [`BudgetSchedule`], optional fault
-//!   injection, engine choice) and drives any [`ZooPolicy`] through it.
+//!   injection) and drives any [`ZooPolicy`] through it.
 //!   Observations ([`Observation`]) expose per-job power/caps, queue
 //!   depth, budget headroom, and cumulative violation seconds — and
 //!   deliberately *omit* the simulator's oracle field, so no agent can
@@ -19,19 +19,18 @@
 //! - **Policy zoo** ([`ZooSpec`] → [`ZooPolicy`]): fair-share and
 //!   greedy-efficiency baselines, a tabular-Q epsilon-greedy learner
 //!   ([`BanditAgent`], counter-based splitmix64 exploration — no RNG
-//!   crate), the paper's PERQ controller wrapped as a zoo citizen, and
-//!   a hybrid that feeds RLS demand forecasts
-//!   ([`perq_sysid::DemandForecaster`]) into PERQ's MPC warm starts.
+//!   crate), and the paper's PERQ controller wrapped as a zoo citizen.
 //! - **Adapter** ([`ZooDriver`]): the bridge onto the simulator's
 //!   `PowerPolicy` trait — scores transitions, lowers actions to caps,
-//!   exports `perq_gym_*` telemetry, and keeps the step and event
-//!   engines observationally indistinguishable to the agent.
+//!   exports `perq_gym_*` telemetry, and ignores the empty decision
+//!   contexts of idle intervals, so an agent cannot tell whether the
+//!   simulator skipped them.
 //!
 //! # Determinism contract
 //!
 //! Equal `(EnvConfig, RewardSpec, agent state)` ⇒ byte-identical
 //! observation/action/reward streams, simulation results, and telemetry
-//! exports, on either engine. Any randomness an agent uses comes from
+//! exports. Any randomness an agent uses comes from
 //! its own seeded counter RNG. `tests/determinism.rs` pins all of this.
 //!
 //! # Example
@@ -64,8 +63,8 @@ pub use driver::{Transitions, ZooDriver, ZooPolicy};
 pub use env::{EnvConfig, EnvWorkload, Episode, GymEnv};
 pub use obs::{JobObs, Observation};
 pub use reward::RewardSpec;
-pub use zoo::{FairShareAgent, GreedyAgent, HybridAgent, PerqZooAgent, ZooSpec};
+pub use zoo::{FairShareAgent, GreedyAgent, PerqZooAgent, ZooSpec};
 
 // Re-exported so downstream code can build schedules/rates without
 // depending on perq-sim directly.
-pub use perq_sim::{BudgetSchedule, FaultRates, SimEngine};
+pub use perq_sim::{BudgetSchedule, FaultRates};

@@ -7,8 +7,8 @@ use serde::{Deserialize, Serialize};
 /// The oracle field (`remaining_node_hours`) is deliberately absent: a
 /// learning agent must not be able to cheat its way into SRN, and the
 /// paper's own policy never reads it either. When an agent rebuilds a
-/// `JobView` from this (the wrapped-PERQ and hybrid agents do), the
-/// oracle slot is zero-filled.
+/// `JobView` from this (the wrapped-PERQ agent does), the oracle slot
+/// is zero-filled.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobObs {
     /// Job id (stable across decisions).
@@ -33,9 +33,8 @@ pub struct JobObs {
 /// act on, as pure serializable data.
 ///
 /// Built by [`Observation::from_ctx`] from the simulator's
-/// [`PolicyContext`] — the same struct on both engines, so an agent
-/// cannot tell which core drives it, and two runs with equal seeds see
-/// byte-identical observation streams.
+/// [`PolicyContext`]; two runs with equal seeds see byte-identical
+/// observation streams.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Observation {
     /// Simulation time, seconds.
@@ -112,7 +111,7 @@ impl Observation {
     }
 
     /// Rebuilds the simulator-side job views with the oracle slot
-    /// zero-filled — how wrapped `PowerPolicy` citizens (PERQ, hybrid)
+    /// zero-filled — how wrapped `PowerPolicy` citizens (PERQ)
     /// are driven from an observation without leaking future knowledge.
     pub fn to_job_views(&self) -> Vec<perq_sim::JobView> {
         self.jobs

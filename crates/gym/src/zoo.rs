@@ -4,7 +4,6 @@ use crate::driver::ZooPolicy;
 use crate::obs::Observation;
 use perq_core::{NodeModel, PerqConfig, PerqPolicy};
 use perq_sim::{PolicyContext, PowerPolicy};
-use perq_sysid::DemandForecaster;
 use serde::{Deserialize, Serialize};
 
 /// A zoo policy as pure data — the serde-round-trippable description a
@@ -31,14 +30,6 @@ pub enum ZooSpec {
         /// Controller configuration.
         config: PerqConfig,
     },
-    /// PERQ plus a fleet-level [`DemandForecaster`]: RLS demand
-    /// predictions seed the MPC warm start for newly arrived jobs.
-    Hybrid {
-        /// Controller configuration.
-        config: PerqConfig,
-        /// Forecaster forgetting factor.
-        lambda: f64,
-    },
 }
 
 impl ZooSpec {
@@ -57,14 +48,6 @@ impl ZooSpec {
         }
     }
 
-    /// The default hybrid arm.
-    pub fn hybrid() -> Self {
-        ZooSpec::Hybrid {
-            config: PerqConfig::default(),
-            lambda: 0.98,
-        }
-    }
-
     /// Display name — what episodes driven by this spec report.
     pub fn name(&self) -> &'static str {
         match self {
@@ -72,26 +55,25 @@ impl ZooSpec {
             ZooSpec::Greedy => "ZOO-GREEDY",
             ZooSpec::Bandit { .. } => "ZOO-BANDIT",
             ZooSpec::Perq { .. } => "ZOO-PERQ",
-            ZooSpec::Hybrid { .. } => "ZOO-HYBRID",
         }
     }
 
     /// True when building this spec needs a trained node model.
     pub fn needs_model(&self) -> bool {
-        matches!(self, ZooSpec::Perq { .. } | ZooSpec::Hybrid { .. })
+        matches!(self, ZooSpec::Perq { .. })
     }
 
     /// The training seed a model-less build would identify with (lets
     /// a campaign pre-train and share models across scenarios).
     pub fn training_seed(&self) -> Option<u64> {
         match self {
-            ZooSpec::Perq { config } | ZooSpec::Hybrid { config, .. } => Some(config.training_seed),
+            ZooSpec::Perq { config } => Some(config.training_seed),
             _ => None,
         }
     }
 
     /// Instantiates the agent. `model` supplies the pre-trained node
-    /// model for the PERQ-based arms (pass `None` to train one from
+    /// model for the PERQ arm (pass `None` to train one from
     /// the config's training seed — deterministic, but slow enough
     /// that grids should share pre-trained models instead).
     pub fn build(&self, model: Option<&NodeModel>) -> Box<dyn ZooPolicy> {
@@ -99,24 +81,14 @@ impl ZooSpec {
             ZooSpec::FairShare => Box::new(FairShareAgent),
             ZooSpec::Greedy => Box::new(GreedyAgent),
             ZooSpec::Bandit { seed, config } => Box::new(BanditAgent::new(*seed, config.clone())),
-            ZooSpec::Perq { config } => Box::new(PerqZooAgent::new(
-                build_perq(config, model),
-                config.clone(),
-                "ZOO-PERQ",
-            )),
-            ZooSpec::Hybrid { config, lambda } => Box::new(HybridAgent::new(
-                build_perq(config, model),
-                config.clone(),
-                DemandForecaster::new(*lambda),
-            )),
+            ZooSpec::Perq { config } => {
+                let perq = match model {
+                    Some(m) => PerqPolicy::with_model(m.clone(), config.clone()),
+                    None => PerqPolicy::new(config.clone()),
+                };
+                Box::new(PerqZooAgent::new(perq, config.clone()))
+            }
         }
-    }
-}
-
-fn build_perq(config: &PerqConfig, model: Option<&NodeModel>) -> PerqPolicy {
-    match model {
-        Some(m) => PerqPolicy::with_model(m.clone(), config.clone()),
-        None => PerqPolicy::new(config.clone()),
     }
 }
 
@@ -144,43 +116,21 @@ impl ZooPolicy for GreedyAgent {
     }
 }
 
-/// Rebuilds the simulator-side decision context from an observation
-/// and runs a wrapped [`PowerPolicy`], returning its caps. The oracle
-/// slot is zero-filled by construction ([`Observation::to_job_views`]).
-fn wrapped_caps(policy: &mut dyn PowerPolicy, obs: &Observation) -> Vec<f64> {
-    let views = obs.to_job_views();
-    let ctx = PolicyContext {
-        time_s: obs.time_s,
-        interval_s: obs.interval_s,
-        busy_budget_w: obs.busy_budget_w,
-        cap_min_w: obs.cap_min_w,
-        cap_max_w: obs.cap_max_w,
-        total_nodes: obs.total_nodes,
-        wp_nodes: obs.wp_nodes,
-        queue_depth: obs.queue_depth,
-        violation_s: obs.violation_s,
-        jobs: &views,
-    };
-    policy.assign(&ctx).into_iter().map(|a| a.cap_w).collect()
-}
-
 /// The PERQ controller as a zoo citizen. Decisions must be — and are,
 /// pinned by test — identical to running `PerqPolicy` directly,
 /// because the observation carries every field PERQ reads.
 pub struct PerqZooAgent {
     perq: PerqPolicy,
-    name: &'static str,
     /// Kept to rebuild per-episode (job ids restart across episodes).
     config: PerqConfig,
     model: NodeModel,
 }
 
 impl PerqZooAgent {
-    fn new(perq: PerqPolicy, config: PerqConfig, name: &'static str) -> Self {
+    fn new(perq: PerqPolicy, config: PerqConfig) -> Self {
         let model = perq.model().clone();
         PerqZooAgent {
             perq,
-            name,
             config,
             model,
         }
@@ -189,11 +139,33 @@ impl PerqZooAgent {
 
 impl ZooPolicy for PerqZooAgent {
     fn name(&self) -> &'static str {
-        self.name
+        "ZOO-PERQ"
     }
 
+    /// Rebuilds the simulator-side decision context from the
+    /// observation and lets PERQ decide. The oracle slot is zero-filled
+    /// by construction ([`Observation::to_job_views`]).
     fn act(&mut self, obs: &Observation) -> Action {
-        Action::Caps(wrapped_caps(&mut self.perq, obs))
+        let views = obs.to_job_views();
+        let ctx = PolicyContext {
+            time_s: obs.time_s,
+            interval_s: obs.interval_s,
+            busy_budget_w: obs.busy_budget_w,
+            cap_min_w: obs.cap_min_w,
+            cap_max_w: obs.cap_max_w,
+            total_nodes: obs.total_nodes,
+            wp_nodes: obs.wp_nodes,
+            queue_depth: obs.queue_depth,
+            violation_s: obs.violation_s,
+            jobs: &views,
+        };
+        Action::Caps(
+            self.perq
+                .assign(&ctx)
+                .into_iter()
+                .map(|a| a.cap_w)
+                .collect(),
+        )
     }
 
     fn job_departed(&mut self, job_id: u64) {
@@ -201,84 +173,6 @@ impl ZooPolicy for PerqZooAgent {
     }
 
     fn episode_started(&mut self) {
-        self.perq = PerqPolicy::with_model(self.model.clone(), self.config.clone());
-    }
-
-    fn set_recorder(&mut self, recorder: perq_telemetry::Recorder) {
-        PowerPolicy::set_recorder(&mut self.perq, recorder);
-    }
-}
-
-/// PERQ with a fleet-level demand forecaster in the loop.
-///
-/// Every measured `(cap, drawn power)` pair trains one
-/// [`DemandForecaster`] shared across jobs — the fleet-typical demand
-/// curve. When a *new* job arrives (the one decision where PERQ's
-/// per-job adapters know nothing), the forecaster's prediction seeds
-/// the MPC warm start via [`PerqPolicy::seed_warm_start`]: instead of
-/// starting FISTA from the current cap held flat, it starts from the
-/// predicted steady-state cap level. Everything else is PERQ verbatim,
-/// so the hybrid can only differ on new-job decisions — and only while
-/// the forecaster is confident.
-pub struct HybridAgent {
-    perq: PerqPolicy,
-    forecaster: DemandForecaster,
-    config: PerqConfig,
-    model: NodeModel,
-}
-
-impl HybridAgent {
-    fn new(perq: PerqPolicy, config: PerqConfig, forecaster: DemandForecaster) -> Self {
-        let model = perq.model().clone();
-        HybridAgent {
-            perq,
-            forecaster,
-            config,
-            model,
-        }
-    }
-
-    /// Forecaster observations absorbed so far (diagnostics).
-    pub fn forecaster_updates(&self) -> usize {
-        self.forecaster.updates()
-    }
-}
-
-impl ZooPolicy for HybridAgent {
-    fn name(&self) -> &'static str {
-        "ZOO-HYBRID"
-    }
-
-    fn act(&mut self, obs: &Observation) -> Action {
-        // 1. Learn from every measured job, in observation order.
-        for j in &obs.jobs {
-            if let Some(p) = j.measured_power_w {
-                let cap_frac = (j.current_cap_w / obs.cap_max_w).clamp(0.0, 1.0);
-                self.forecaster.observe(cap_frac, p / obs.cap_max_w);
-            }
-        }
-        // 2. Seed warm starts for new arrivals once the forecast is
-        //    trustworthy: the predicted unconstrained demand plus a
-        //    small margin, held across the horizon.
-        if self.forecaster.confident() {
-            let horizon = self.perq.horizon();
-            let floor = obs.cap_min_w / obs.cap_max_w;
-            for j in obs.jobs.iter().filter(|j| j.is_new) {
-                let seed_frac = (self.forecaster.predict_frac(1.0) + 0.05).clamp(floor, 1.0);
-                self.perq.seed_warm_start(j.id, vec![seed_frac; horizon]);
-            }
-        }
-        // 3. PERQ decides.
-        Action::Caps(wrapped_caps(&mut self.perq, obs))
-    }
-
-    fn job_departed(&mut self, job_id: u64) {
-        PowerPolicy::job_departed(&mut self.perq, job_id);
-    }
-
-    fn episode_started(&mut self) {
-        // Per-job controller state dies with the episode; the learned
-        // demand curve is the hybrid's cross-episode memory.
         self.perq = PerqPolicy::with_model(self.model.clone(), self.config.clone());
     }
 
@@ -297,10 +191,8 @@ mod tests {
         assert_eq!(ZooSpec::Greedy.name(), "ZOO-GREEDY");
         assert_eq!(ZooSpec::bandit(1).name(), "ZOO-BANDIT");
         assert_eq!(ZooSpec::perq().name(), "ZOO-PERQ");
-        assert_eq!(ZooSpec::hybrid().name(), "ZOO-HYBRID");
         assert!(!ZooSpec::FairShare.needs_model());
         assert!(ZooSpec::perq().needs_model());
-        assert!(ZooSpec::hybrid().needs_model());
         assert_eq!(
             ZooSpec::perq().training_seed(),
             Some(PerqConfig::default().training_seed)
@@ -314,7 +206,6 @@ mod tests {
             ZooSpec::Greedy,
             ZooSpec::bandit(42),
             ZooSpec::perq(),
-            ZooSpec::hybrid(),
         ] {
             let json = serde_json::to_string(&spec).unwrap();
             let back: ZooSpec = serde_json::from_str(&json).unwrap();

@@ -3,13 +3,13 @@
 //! - Same `(EnvConfig, RewardSpec, agent seed)` ⇒ byte-identical
 //!   observation streams (via serde_json), rewards, and telemetry
 //!   exports.
-//! - The step and event engines are observationally indistinguishable
-//!   to an agent.
+//! - Idle intervals are invisible to an agent, whether the simulator
+//!   skips them (`Cluster::run`) or executes them (`run_stepper`).
 //! - The wrapped-PERQ zoo citizen reproduces plain PERQ exactly.
 
 use perq_core::{train_node_model, PerqConfig, PerqPolicy};
 use perq_gym::{
-    BudgetSchedule, EnvConfig, EnvWorkload, FaultRates, GymEnv, RewardSpec, SimEngine, ZooSpec,
+    BudgetSchedule, EnvConfig, EnvWorkload, FaultRates, GymEnv, RewardSpec, ZooDriver, ZooSpec,
 };
 use perq_telemetry::Recorder;
 use proptest::prelude::*;
@@ -65,26 +65,64 @@ fn different_bandit_seeds_diverge() {
 }
 
 #[test]
-fn engines_are_observationally_indistinguishable() {
+fn idle_intervals_are_invisible_to_agents() {
     // A draining workload with a scheduled budget and adversarial
-    // telemetry — the regime where the engines' code paths differ most.
+    // telemetry. The simulator's `run` skips most idle intervals, its
+    // `run_stepper` oracle hands the driver an empty context for every
+    // one of them; the agent-visible streams and the telemetry export
+    // must not depend on which. (The policy-level call stream is pinned
+    // in `perq-sim`'s `event_parity` suite.)
     let mut config = light_config(33);
+    // Three short jobs, all started at t = 0: the queue is empty at
+    // once and the machine idle for the second half of the episode.
+    config.workload = EnvWorkload::Explicit(
+        (0..3)
+            .map(|i| perq_sim::JobSpec {
+                id: i,
+                app_index: (2 * i + 1) as usize,
+                size: 2 + i as usize,
+                runtime_tdp_s: 150.0 + 60.0 * i as f64,
+                runtime_estimate_s: 1.3 * (150.0 + 60.0 * i as f64),
+                submit_s: 0.0,
+            })
+            .collect(),
+    );
     config.budget_schedule = Some(BudgetSchedule::diurnal(2320.0, 0.75, 1.0, 300.0, 900.0));
     config.faults = Some((17, FaultRates::adversarial_telemetry()));
     for spec in [ZooSpec::FairShare, ZooSpec::Greedy, ZooSpec::bandit(2)] {
-        let mut step = config.clone();
-        step.engine = SimEngine::Step;
-        let mut event = config.clone();
-        event.engine = SimEngine::Event;
-        let (stream_s, prom_s) = run_trajectory(&step, &spec, 2);
-        let (stream_e, prom_e) = run_trajectory(&event, &spec, 2);
-        assert_eq!(
-            stream_s, stream_e,
-            "{spec:?}: engine changed what the agent saw"
+        let drive = |stepper: bool| {
+            let recorder = Recorder::manual();
+            let mut cluster = config.build_cluster().with_recorder(recorder.clone());
+            let mut agent = spec.build(None);
+            let mut driver = ZooDriver::new(&mut *agent, RewardSpec::default()).with_capture();
+            let result = if stepper {
+                cluster.run_stepper(&mut driver)
+            } else {
+                cluster.run(&mut driver)
+            };
+            let (_, transitions, total_reward) = driver.finish();
+            let stream = format!(
+                "{}{}{}|total={total_reward:.12e}|",
+                serde_json::to_string(&transitions.observations).unwrap(),
+                serde_json::to_string(&transitions.actions).unwrap(),
+                serde_json::to_string(&transitions.rewards).unwrap(),
+            );
+            (result, stream, recorder.export_prometheus())
+        };
+        let (result_s, stream_s, prom_s) = drive(true);
+        let (result_r, stream_r, prom_r) = drive(false);
+        assert!(result_s.same_simulation(&result_r));
+        assert!(
+            result_r.decision_times_s.len() < result_s.decision_times_s.len(),
+            "{spec:?}: the draining workload must leave idle intervals to skip"
         );
         assert_eq!(
-            prom_s, prom_e,
-            "{spec:?}: engine changed the telemetry export"
+            stream_s, stream_r,
+            "{spec:?}: skipping idle intervals changed what the agent saw"
+        );
+        assert_eq!(
+            prom_s, prom_r,
+            "{spec:?}: skipping idle intervals changed the telemetry export"
         );
     }
 }
@@ -115,33 +153,6 @@ fn wrapped_perq_reproduces_plain_perq() {
     );
 }
 
-#[test]
-fn hybrid_is_perq_until_the_forecaster_gates_open() {
-    // With gating defaults the forecaster needs 8 clean samples; the
-    // very first decision of a fresh hybrid must therefore be pure PERQ.
-    let config = light_config(50);
-    let perq_config = PerqConfig::default();
-    let (model, _) = train_node_model(perq_config.training_seed);
-    let mut hybrid = ZooSpec::Hybrid {
-        config: perq_config.clone(),
-        lambda: 0.98,
-    }
-    .build(Some(&model));
-    let mut perq = ZooSpec::Perq {
-        config: perq_config,
-    }
-    .build(Some(&model));
-    let mut env_h = GymEnv::new(config.clone());
-    let mut env_p = GymEnv::new(config);
-    let ep_h = env_h.run_episode(&mut *hybrid);
-    let ep_p = env_p.run_episode(&mut *perq);
-    assert_eq!(
-        ep_h.transitions.actions.first(),
-        ep_p.transitions.actions.first(),
-        "before any samples the hybrid must act exactly like PERQ"
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -154,7 +165,6 @@ proptest! {
         jobs in 8usize..24,
         diurnal in proptest::bool::ANY,
         adversarial in proptest::bool::ANY,
-        event in proptest::bool::ANY,
     ) {
         let mut config = light_config(seed);
         config.workload = EnvWorkload::Light { jobs };
@@ -164,9 +174,6 @@ proptest! {
         }
         if adversarial {
             config.faults = Some((seed ^ 0xAD, FaultRates::adversarial_telemetry()));
-        }
-        if event {
-            config.engine = SimEngine::Event;
         }
         let spec = ZooSpec::bandit(agent_seed);
         let (a, prom_a) = run_trajectory(&config, &spec, 1);

@@ -19,8 +19,7 @@
 //! coordinator sees). Every level of the schedule must at least idle
 //! the whole machine, the same invariant `ClusterConfig::validate`
 //! enforces on the flat budget, so synthesized idle intervals can never
-//! violate and the event engine's bulk idle skip stays byte-identical
-//! to the stepper.
+//! violate and the bulk idle skip stays byte-identical to the stepper.
 
 use serde::{Deserialize, Serialize};
 

@@ -48,7 +48,7 @@ pub struct ClusterConfig {
     /// Honour each job's [`JobSpec::submit_s`]: jobs enter the queue at
     /// their submit time instead of all being ready at `t = 0` (the
     /// paper's saturated queue, which stays the default). Arrival gaps
-    /// are exactly the dead time the event engine skips.
+    /// are exactly the dead time [`Cluster::run`] skips.
     #[serde(default)]
     pub honor_arrivals: bool,
 }
@@ -192,13 +192,6 @@ struct RunningJob {
     start_s: f64,
     progress_s: f64,
     cap_w: f64,
-    /// Sequence stamp bumped by the event engine whenever the cap
-    /// changes; pending completion predictions carry the stamp they
-    /// were made under and die when it moves (see `event.rs`).
-    prediction_stamp: u64,
-    /// Cap the current completion prediction was computed at; a
-    /// different applied cap invalidates the prediction.
-    predicted_cap_w: f64,
     rapl: SimulatedRapl,
     last_ips: Option<f64>,
     last_power_w: Option<f64>,
@@ -250,7 +243,7 @@ pub struct Cluster {
     ips_noise: Option<Normal<f64>>,
     /// Fault injection state. The plan is data fixed before the run; the
     /// cursor walks it as steps pass.
-    pub(crate) fault_plan: FaultPlan,
+    fault_plan: FaultPlan,
     fault_cursor: usize,
     step_idx: usize,
     offline_nodes: usize,
@@ -259,11 +252,19 @@ pub struct Cluster {
     crash_times: VecDeque<f64>,
     recovery_latency_s: Vec<f64>,
     recorder: Recorder,
-    /// Engine diagnostics (event-queue depth, events processed, wall
-    /// time per simulated day). Separate from `recorder` because these
-    /// depend on the engine and on wall time, while `recorder` exports
-    /// must stay byte-identical across engines.
+    /// Loop diagnostics (intervals executed vs skipped, wall time per
+    /// simulated day). Separate from `recorder` because these depend
+    /// on which loop ran and on wall time, while `recorder` exports
+    /// must stay byte-identical between `run` and `run_stepper`.
     engine_recorder: Recorder,
+    /// Wall-clock start of the simulated day in progress, and the
+    /// simulated time at which it ends (`engine_recorder` only).
+    day_wall_start: Instant,
+    next_day_s: f64,
+    /// The run's interval log and violation count so far; `finish`
+    /// hands them to the [`SimResult`].
+    intervals: Vec<IntervalLog>,
+    budget_violations: usize,
     /// Budget in force instead of `config.budget_w()`, when a
     /// higher-level coordinator granted this cluster a share of a
     /// larger system's budget (hierarchical allocation, `hier.rs`).
@@ -282,7 +283,7 @@ pub struct Cluster {
     /// runs allocate a ~150 MB log; recycling it across repeated
     /// replays (benchmark medians, back-to-back what-if runs) skips
     /// the kernel's first-touch page zeroing, which otherwise rivals
-    /// the event engine's entire simulation cost.
+    /// a sparse run's entire simulation cost.
     recycled_intervals: Option<Vec<IntervalLog>>,
     /// Routes scheduling through the pre-overhaul full-rescan + sort
     /// path, which also cross-checks the incremental mirrors each step.
@@ -293,6 +294,16 @@ pub struct Cluster {
     /// byte-identical across the seed-derivation fix.
     #[cfg(any(test, feature = "rescan-oracle"))]
     legacy_rapl_seed: bool,
+}
+
+const SECONDS_PER_DAY: f64 = 86_400.0;
+
+/// Conservatively early interval index for an arrival at `submit_s`:
+/// two steps before the nominal one, so clock accumulation error can
+/// never make the hint *late* (a premature wake executes one idle
+/// interval; a late one would silently delay the release).
+fn arrival_hint_step(submit_s: f64, interval_s: f64) -> usize {
+    ((submit_s / interval_s).floor() as usize).saturating_sub(2)
 }
 
 /// The finalization mix of `splitmix64` — a bijective `u64 → u64`
@@ -373,6 +384,10 @@ impl Cluster {
             recovery_latency_s: Vec::new(),
             recorder: Recorder::noop(),
             engine_recorder: Recorder::noop(),
+            day_wall_start: Instant::now(),
+            next_day_s: SECONDS_PER_DAY,
+            intervals: Vec::new(),
+            budget_violations: 0,
             budget_override_w: None,
             budget_schedule: None,
             violation_s_total: 0.0,
@@ -402,21 +417,16 @@ impl Cluster {
         self
     }
 
-    /// Attaches a recorder for *engine diagnostics* (builder style):
-    /// `perq_sim_events_total`, `perq_sim_event_queue_depth`,
-    /// `perq_sim_intervals_{executed,skipped}_total`, and the
+    /// Attaches a recorder for *loop diagnostics* (builder style):
+    /// `perq_sim_intervals_{executed,skipped}_total` and the
     /// `perq_sim_wall_per_sim_day_seconds` histogram. These depend on
-    /// the selected [`crate::SimEngine`] and on wall time, so they live
-    /// on their own recorder: the main recorder's exports stay
-    /// byte-identical between engines.
+    /// how many idle intervals were skipped and on wall time, so they
+    /// live on their own recorder: the main recorder's exports stay
+    /// byte-identical between [`Cluster::run`] and
+    /// [`Cluster::run_stepper`].
     pub fn with_engine_recorder(mut self, recorder: Recorder) -> Self {
         self.engine_recorder = recorder;
         self
-    }
-
-    /// The engine-diagnostics recorder handle.
-    pub fn engine_recorder(&self) -> &Recorder {
-        &self.engine_recorder
     }
 
     /// Hands a previous run's interval log back for reuse (builder
@@ -424,8 +434,7 @@ impl Cluster {
     /// replays write into already-faulted pages instead of paying the
     /// kernel's first-touch zeroing of a fresh year-long allocation
     /// (~150 MB for a year at 10 s intervals). Results are unaffected:
-    /// `take_interval_buffer` clears the buffer before either engine
-    /// logs into it.
+    /// the buffer is cleared before the run logs into it.
     pub fn with_recycled_intervals(mut self, buffer: Vec<IntervalLog>) -> Self {
         self.recycled_intervals = Some(buffer);
         self
@@ -463,8 +472,8 @@ impl Cluster {
     /// level of the schedule must at least idle the whole machine —
     /// the same invariant [`ClusterConfig`] enforces on the flat budget
     /// — so idle intervals can never violate regardless of where on
-    /// the curve they fall (which is what keeps the event engine's
-    /// bulk idle synthesis byte-identical to the stepper).
+    /// the curve they fall (which is what keeps bulk idle synthesis
+    /// byte-identical to the stepper).
     pub fn with_budget_schedule(mut self, schedule: BudgetSchedule) -> Self {
         assert!(
             self.config.nodes as f64 * self.config.idle_w <= schedule.min_budget_w(),
@@ -566,95 +575,143 @@ impl Cluster {
         &self.config
     }
 
-    /// Runs the simulation to the configured duration under a policy,
-    /// with the reference stepper engine.
+    /// Runs the simulation to the configured duration under a policy.
+    /// Intervals in which nothing can happen — no job running, nothing
+    /// startable, no fault or arrival due — are synthesized in bulk
+    /// instead of executed (DESIGN.md §10); everything else runs the
+    /// policy once per interval, exactly like the paper's controller.
     pub fn run(&mut self, policy: &mut dyn PowerPolicy) -> SimResult {
-        self.run_engine(policy, crate::SimEngine::Step)
+        self.run_to_end(policy, true)
     }
 
-    /// Runs the simulation under the selected engine. Both engines
-    /// produce byte-identical [`SimResult`]s and telemetry exports
-    /// under a fixed seed (`decision_times_s`, the one wall-clock
-    /// field, legitimately differs — the event engine decides less
-    /// often); the event engine just skips the dead time.
-    pub fn run_engine(
+    /// The parity oracle for [`Cluster::run`]: executes *every*
+    /// interval, idle or not. It exists so the idle skip can be proven
+    /// against the loop it shortcuts — same [`SimResult`] (apart from
+    /// the wall-clock `decision_times_s`) and byte-identical recorder
+    /// exports, pinned by `tests/event_parity.rs`. Tests and benches
+    /// call it; nothing else should.
+    pub fn run_stepper(&mut self, policy: &mut dyn PowerPolicy) -> SimResult {
+        self.run_to_end(policy, false)
+    }
+
+    /// One whole run: prologue, the loop to the end of the window,
+    /// epilogue.
+    pub(crate) fn run_to_end(
         &mut self,
         policy: &mut dyn PowerPolicy,
-        engine: crate::SimEngine,
+        skip_idle: bool,
     ) -> SimResult {
+        self.begin(policy);
+        self.advance_to(usize::MAX, policy, skip_idle);
+        self.finish(policy.name())
+    }
+
+    /// Start-of-run prologue: hands the recorder to the policy and
+    /// readies the interval log — the recycled buffer if one was handed
+    /// over (cleared, its pages already faulted in), otherwise a fresh
+    /// allocation pre-sized for the full window.
+    pub(crate) fn begin(&mut self, policy: &mut dyn PowerPolicy) {
         policy.set_recorder(self.recorder.clone());
-        match engine {
-            crate::SimEngine::Step => self.run_step_engine(policy),
-            crate::SimEngine::Event => self.run_event(policy),
+        let capacity = (self.config.duration_s / self.config.interval_s).ceil() as usize + 1;
+        self.intervals = self.recycled_intervals.take().unwrap_or_default();
+        self.intervals.clear();
+        self.intervals.reserve(capacity);
+        self.day_wall_start = Instant::now();
+        // Both counters exist from the start, so a saturated run
+        // exports `skipped_total 0` rather than no series at all.
+        for name in [
+            "perq_sim_intervals_executed_total",
+            "perq_sim_intervals_skipped_total",
+        ] {
+            self.engine_recorder.counter_add(name, 0);
         }
     }
 
-    /// The interval log to run with: the recycled buffer if one was
-    /// handed over (cleared, its pages already faulted in), otherwise a
-    /// fresh pre-sized allocation.
-    pub(crate) fn take_interval_buffer(&mut self) -> Vec<IntervalLog> {
-        let capacity = self.interval_capacity();
-        match self.recycled_intervals.take() {
-            Some(mut buffer) => {
-                buffer.clear();
-                buffer.reserve(capacity);
-                buffer
+    /// The simulator's one loop: advances up to (not including)
+    /// `end_step`, bounded by the configured duration. With `skip_idle`
+    /// an idle cluster jumps to its next wake step — the next scheduled
+    /// fault, the next arrival hint, or `end_step` — never past any of
+    /// them, so nothing is applied late. Executing an idle interval is
+    /// byte-identical to synthesizing it, so a premature wake costs
+    /// time, never fidelity. Without `skip_idle` this is the stepper.
+    pub(crate) fn advance_to(
+        &mut self,
+        end_step: usize,
+        policy: &mut dyn PowerPolicy,
+        skip_idle: bool,
+    ) {
+        let diag = self.engine_recorder.enabled();
+        while self.step_idx < end_step && self.time_s < self.config.duration_s {
+            let wake = if skip_idle && self.idle_now() {
+                self.next_wake_step(end_step)
+            } else {
+                self.step_idx
+            };
+            if wake > self.step_idx {
+                let skipped = self.skip_idle_until(wake);
+                if diag {
+                    self.engine_recorder
+                        .counter_add("perq_sim_intervals_skipped_total", skipped);
+                }
+            } else {
+                let log = self.step(policy);
+                self.tally_violation(&log);
+                self.intervals.push(log);
+                if diag {
+                    self.engine_recorder
+                        .counter_inc("perq_sim_intervals_executed_total");
+                }
             }
-            None => Vec::with_capacity(capacity),
+            while diag && self.time_s >= self.next_day_s {
+                self.engine_recorder.observe(
+                    "perq_sim_wall_per_sim_day_seconds",
+                    self.day_wall_start.elapsed().as_secs_f64(),
+                );
+                self.day_wall_start = Instant::now();
+                self.next_day_s += SECONDS_PER_DAY;
+            }
         }
     }
 
-    /// The reference stepper: executes every interval in order.
-    fn run_step_engine(&mut self, policy: &mut dyn PowerPolicy) -> SimResult {
-        let mut intervals = self.take_interval_buffer();
-        let mut violations = 0usize;
-        let mut violation_s = 0.0;
-
-        while self.time_s < self.config.duration_s {
-            let log = self.step(policy);
-            self.tally_violation(&log, &mut violations, &mut violation_s);
-            intervals.push(log);
-        }
-        self.finish(policy.name(), intervals, violations, violation_s)
+    /// True when nothing can happen this interval without an external
+    /// wake: no job running and no released job fits the free nodes.
+    fn idle_now(&self) -> bool {
+        self.running.is_empty() && !self.scheduler.any_pending_fits(self.free_live_nodes())
     }
 
-    /// Number of intervals a full-window run produces (pre-sizing the
-    /// interval log avoids repeated reallocation on year-long runs).
-    pub(crate) fn interval_capacity(&self) -> usize {
-        (self.config.duration_s / self.config.interval_s).ceil() as usize + 1
+    /// Earliest step that could change an idle cluster's state: the
+    /// next scheduled fault (`fault_cursor` already points at it), the
+    /// conservatively early next arrival hint, or `end_step`.
+    fn next_wake_step(&self, end_step: usize) -> usize {
+        let mut wake = end_step;
+        if let Some(event) = self.fault_plan.events().get(self.fault_cursor) {
+            wake = wake.min(event.step);
+        }
+        if let Some(submit_s) = self.scheduler.next_arrival_s() {
+            wake = wake.min(arrival_hint_step(submit_s, self.config.interval_s));
+        }
+        wake
     }
 
     /// Folds one interval log into the violation tallies and telemetry,
     /// and into the running total policies observe through
     /// [`PolicyContext::violation_s`].
-    pub(crate) fn tally_violation(
-        &mut self,
-        log: &IntervalLog,
-        violations: &mut usize,
-        violation_s: &mut f64,
-    ) {
+    fn tally_violation(&mut self, log: &IntervalLog) {
         if log.violation {
-            *violations += 1;
-            *violation_s += self.config.interval_s;
-            self.violation_s_total = *violation_s;
+            self.budget_violations += 1;
+            self.violation_s_total += self.config.interval_s;
             if self.recorder.enabled() {
                 self.recorder
                     .counter_inc("perq_sim_budget_violations_total");
                 self.recorder
-                    .gauge_set("perq_sim_budget_violation_seconds", *violation_s);
+                    .gauge_set("perq_sim_budget_violation_seconds", self.violation_s_total);
             }
         }
     }
 
-    /// Shared end-of-run epilogue: closes out still-running jobs and
-    /// assembles the [`SimResult`].
-    pub(crate) fn finish(
-        &mut self,
-        policy_name: &str,
-        intervals: Vec<IntervalLog>,
-        violations: usize,
-        violation_s: f64,
-    ) -> SimResult {
+    /// End-of-run epilogue: closes out still-running jobs and assembles
+    /// the [`SimResult`].
+    pub(crate) fn finish(&mut self, policy_name: &str) -> SimResult {
         for job in self.running.drain(..) {
             self.records.push(JobRecord {
                 app_name: job.app.name.clone(),
@@ -673,71 +730,19 @@ impl Cluster {
             policy: policy_name.to_string(),
             f: self.config.over_provisioning_factor(),
             records: std::mem::take(&mut self.records),
-            intervals,
+            intervals: std::mem::take(&mut self.intervals),
             traces: std::mem::take(&mut self.traces),
-            budget_violations: violations,
-            budget_violation_s: violation_s,
+            budget_violations: self.budget_violations,
+            budget_violation_s: self.violation_s_total,
             faults: std::mem::take(&mut self.fault_log),
             recovery_latency_s: std::mem::take(&mut self.recovery_latency_s),
             decision_times_s: std::mem::take(&mut self.scratch.decision_times_s),
         }
     }
 
-    /// Current simulated time, seconds (start of the next interval).
-    pub(crate) fn sim_time_s(&self) -> f64 {
-        self.time_s
-    }
-
-    /// Index of the next interval to execute.
-    pub(crate) fn step_index(&self) -> usize {
-        self.step_idx
-    }
-
-    /// True while any job is on the machine.
-    pub(crate) fn has_running(&self) -> bool {
-        !self.running.is_empty()
-    }
-
     /// Live (non-offline) nodes not occupied by running jobs.
     pub(crate) fn free_live_nodes(&self) -> usize {
         (self.config.nodes - self.offline_nodes).saturating_sub(self.busy_nodes)
-    }
-
-    /// True when `stamp` is still the current prediction stamp of a
-    /// running job — i.e. its cap has not changed since the prediction
-    /// was issued (event-engine completion hints).
-    pub(crate) fn prediction_is_current(&self, job_id: u64, stamp: u64) -> bool {
-        self.running
-            .iter()
-            .any(|j| j.spec.id == job_id && j.prediction_stamp == stamp)
-    }
-
-    /// Refreshes completion predictions after an executed interval:
-    /// every running job whose applied cap differs from the cap its
-    /// outstanding prediction was computed at gets its stamp bumped
-    /// (invalidating the old prediction) and a new
-    /// `(job_id, stamp, steps_remaining)` estimate pushed to `out`.
-    /// Predictions are *hints* — the event engine revalidates on pop —
-    /// so the estimate may legitimately be wrong when the application
-    /// changes phase or the policy moves the cap.
-    pub(crate) fn refresh_completion_predictions(&mut self, out: &mut Vec<(u64, u64, usize)>) {
-        out.clear();
-        let dt = self.config.interval_s;
-        for job in &mut self.running {
-            if job.cap_w == job.predicted_cap_w {
-                continue;
-            }
-            job.predicted_cap_w = job.cap_w;
-            job.prediction_stamp += 1;
-            let remaining = (job.spec.runtime_tdp_s - job.progress_s).max(0.0);
-            let cap_frac = job.cap_w / self.config.tdp_w;
-            let perf = job
-                .app
-                .perf_frac(cap_frac, self.time_s - job.start_s)
-                .max(1e-9);
-            let steps = (remaining / (perf * dt)).ceil().max(1.0) as usize;
-            out.push((job.spec.id, job.prediction_stamp, steps));
-        }
     }
 
     /// Synthesizes idle intervals — no running jobs, nothing startable,
@@ -747,13 +752,9 @@ impl Cluster {
     /// repeated `+= interval_s`, the step counter advances in bulk, the
     /// idle gauges take their last-write-wins values, and the recorder
     /// clock ratchets to the last synthesized interval's start time (so
-    /// journal events stamped after the run agree across engines).
+    /// journal events stamped after the run agree with the stepper's).
     /// Returns the number of intervals skipped.
-    pub(crate) fn skip_idle_until(
-        &mut self,
-        wake_step: usize,
-        intervals: &mut Vec<IntervalLog>,
-    ) -> u64 {
+    fn skip_idle_until(&mut self, wake_step: usize) -> u64 {
         debug_assert!(self.running.is_empty(), "cannot skip busy intervals");
         let dt = self.config.interval_s;
         let live = self.config.nodes - self.offline_nodes;
@@ -762,7 +763,7 @@ impl Cluster {
         let mut skipped = 0u64;
         // Bulk-synthesize most of the gap through one sized `extend`
         // (a single reservation, no per-push bookkeeping) — this loop
-        // is the event engine's floor on sparse traces. The interval
+        // is the run's floor on sparse traces. The interval
         // times must accumulate by the same repeated `+= dt` as the
         // stepper, so the bulk count is derived conservatively (two
         // steps short of the window end, more than covering any float
@@ -777,7 +778,7 @@ impl Cluster {
         let bulk = wake_step.saturating_sub(self.step_idx).min(window);
         if bulk > 0 {
             let mut t = self.time_s;
-            intervals.extend((0..bulk).map(|_| {
+            self.intervals.extend((0..bulk).map(|_| {
                 let log = IntervalLog {
                     t_s: t,
                     busy_nodes: 0,
@@ -798,7 +799,7 @@ impl Cluster {
         }
         while self.step_idx < wake_step && self.time_s < self.config.duration_s {
             last_t = self.time_s;
-            intervals.push(IntervalLog {
+            self.intervals.push(IntervalLog {
                 t_s: last_t,
                 busy_nodes: 0,
                 running_jobs: 0,
@@ -833,7 +834,7 @@ impl Cluster {
     }
 
     /// Executes one control interval; returns its log entry.
-    pub(crate) fn step(&mut self, policy: &mut dyn PowerPolicy) -> IntervalLog {
+    fn step(&mut self, policy: &mut dyn PowerPolicy) -> IntervalLog {
         let dt = self.config.interval_s;
         // Telemetry timestamps follow simulated time, never wall time.
         self.recorder.set_time_s(self.time_s);
@@ -865,8 +866,6 @@ impl Cluster {
                 ips_hidden_until: 0,
                 power_stale_until: 0,
                 corrupt_power_factor: None,
-                prediction_stamp: 0,
-                predicted_cap_w: f64::NAN,
                 spec,
             });
         }
@@ -1659,6 +1658,69 @@ mod tests {
         }
         assert_eq!(result.records[0].start_s, 200.0);
         assert_eq!(result.records[0].outcome, JobOutcome::Completed);
+    }
+
+    #[test]
+    fn arrival_hints_are_never_late() {
+        for (submit, dt, nominal) in [
+            (0.0, 10.0, 0usize),
+            (95.0, 10.0, 9usize),
+            (100.0, 10.0, 10usize),
+            (100.05, 0.1, 1000usize),
+        ] {
+            let hint = arrival_hint_step(submit, dt);
+            assert!(hint <= nominal, "hint {hint} late for submit {submit}");
+            assert!(nominal - hint <= 3, "hint {hint} too early for {submit}");
+        }
+    }
+
+    #[test]
+    fn premature_arrival_wake_executes_the_idle_interval() {
+        // submit_s = 1005 on a 10 s clock: the hint is step 98, the
+        // release is step 101. The skip must stop at 98 and *execute*
+        // steps 98..=100 idle (one policy call each, like the stepper)
+        // rather than synthesize past the arrival.
+        let mut config = small_config(1.0, 2000.0);
+        config.honor_arrivals = true;
+        let jobs = vec![JobSpec {
+            id: 0,
+            app_index: 0,
+            size: 2,
+            runtime_tdp_s: 100.0,
+            runtime_estimate_s: 130.0,
+            submit_s: 1005.0,
+        }];
+        let run = |stepper: bool| {
+            let recorder = Recorder::manual();
+            let diag = Recorder::manual();
+            let mut c = Cluster::new(config.clone(), jobs.clone(), 1)
+                .with_recorder(recorder.clone())
+                .with_engine_recorder(diag.clone());
+            let result = if stepper {
+                c.run_stepper(&mut FairPolicy::new())
+            } else {
+                c.run(&mut FairPolicy::new())
+            };
+            let executed = diag.counter_value("perq_sim_intervals_executed_total");
+            (
+                result,
+                recorder.export_prometheus(),
+                recorder.export_jsonl(),
+                executed,
+            )
+        };
+        let (skip, skip_prom, skip_jsonl, executed) = run(false);
+        let (step, step_prom, step_jsonl, all) = run(true);
+        assert!(skip.same_simulation(&step));
+        assert_eq!(skip_prom, step_prom);
+        assert_eq!(skip_jsonl, step_jsonl);
+        assert_eq!(skip.records[0].start_s, 1010.0);
+        assert_eq!(all as usize, step.intervals.len());
+        // Three premature idle intervals (98, 99, 100) plus the job's
+        // own run; everything else is skipped.
+        let busy = skip.intervals.iter().filter(|l| l.running_jobs > 0).count();
+        assert_eq!(executed as usize, busy + 3);
+        assert_eq!(skip.decision_times_s.len(), busy + 3);
     }
 
     #[test]

@@ -28,12 +28,10 @@
 //! backfilling opportunities and budget mobility; §11 quantifies it).
 
 use crate::cluster::{Cluster, ClusterConfig, IntervalLog, SimResult};
-use crate::event::arrival_hint_step;
 use crate::fault::{FaultEvent, FaultKind, FaultPlan};
 use crate::job::{JobRecord, JobSpec};
 use crate::parallel::parallel_for_mut;
 use crate::policy::PowerPolicy;
-use crate::SimEngine;
 use perq_telemetry::{FieldValue, Recorder};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -490,68 +488,9 @@ struct EnclaveRun {
     cluster: Cluster,
     policy: Box<dyn PowerPolicy + Send>,
     recorder: Recorder,
-    intervals: Vec<IntervalLog>,
-    violations: usize,
-    violation_s: f64,
 }
 
 impl EnclaveRun {
-    /// Advances this enclave up to (not including) `end_step`, bounded
-    /// by the configured duration. The step engine executes every
-    /// interval; the event engine synthesizes idle gaps in bulk, waking
-    /// for the next fault, the next arrival hint, or the epoch
-    /// boundary — never past any of them, so no event is applied late.
-    /// Executing an idle interval is byte-identical to synthesizing
-    /// it, so a premature wake costs time, never fidelity.
-    fn advance_to(&mut self, end_step: usize, engine: SimEngine) {
-        let duration_s = self.cluster.config().duration_s;
-        let interval_s = self.cluster.config().interval_s;
-        while self.cluster.step_index() < end_step && self.cluster.sim_time_s() < duration_s {
-            if engine == SimEngine::Event && self.idle_now() {
-                let wake = self.next_wake_step(end_step, interval_s);
-                if wake > self.cluster.step_index() {
-                    self.cluster.skip_idle_until(wake, &mut self.intervals);
-                    continue;
-                }
-            }
-            let log = self.cluster.step(self.policy.as_mut());
-            self.cluster
-                .tally_violation(&log, &mut self.violations, &mut self.violation_s);
-            self.intervals.push(log);
-        }
-    }
-
-    /// True when nothing can happen this interval without an external
-    /// wake: no job running and no released job fits the free nodes.
-    fn idle_now(&self) -> bool {
-        !self.cluster.has_running()
-            && !self
-                .cluster
-                .scheduler
-                .any_pending_fits(self.cluster.free_live_nodes())
-    }
-
-    /// Earliest step that could change an idle enclave's state: the
-    /// next scheduled fault, the (conservatively early) next arrival
-    /// hint, or the epoch boundary, whichever comes first.
-    fn next_wake_step(&self, end_step: usize, interval_s: f64) -> usize {
-        let step = self.cluster.step_index();
-        let mut wake = end_step;
-        if let Some(event) = self
-            .cluster
-            .fault_plan
-            .events()
-            .iter()
-            .find(|e| e.step >= step)
-        {
-            wake = wake.min(event.step);
-        }
-        if let Some(submit_s) = self.cluster.scheduler.next_arrival_s() {
-            wake = wake.min(arrival_hint_step(submit_s, interval_s).max(step));
-        }
-        wake
-    }
-
     /// The demand summary this enclave reports at an epoch boundary.
     fn demand(&self, enclave: usize, topology: &HierTopology) -> EnclaveDemand {
         let config = self.cluster.config();
@@ -590,12 +529,12 @@ pub struct HierSim {
     flat_config: ClusterConfig,
     enclaves: Vec<EnclaveRun>,
     authority: Box<dyn BudgetAuthority>,
-    engine: SimEngine,
     threads: usize,
     recorder: Recorder,
     /// Coordinator wall-clock diagnostics (solve-latency histogram).
-    /// Separate from `recorder` for the same reason as the engine
-    /// recorder: wall time is not deterministic, main exports must be.
+    /// Separate from `recorder` for the same reason as the cluster's
+    /// loop diagnostics: wall time is not deterministic, main exports
+    /// must be.
     coord_recorder: Recorder,
 }
 
@@ -649,9 +588,6 @@ impl HierSim {
                     cluster: Cluster::new(part, enclave_jobs, enclave_seed),
                     policy,
                     recorder: Recorder::noop(),
-                    intervals: Vec::new(),
-                    violations: 0,
-                    violation_s: 0.0,
                 }
             })
             .collect();
@@ -660,7 +596,6 @@ impl HierSim {
             flat_config: config,
             enclaves,
             authority: Box::new(ProportionalAuthority),
-            engine: SimEngine::Step,
             threads: 1,
             recorder: Recorder::noop(),
             coord_recorder: Recorder::noop(),
@@ -671,12 +606,6 @@ impl HierSim {
     /// the default is [`ProportionalAuthority`].
     pub fn with_authority(mut self, authority: Box<dyn BudgetAuthority>) -> Self {
         self.authority = authority;
-        self
-    }
-
-    /// Selects the per-enclave simulator core (builder style).
-    pub fn with_engine(mut self, engine: SimEngine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -740,24 +669,38 @@ impl HierSim {
 
     /// Runs the hierarchy to the configured duration.
     ///
-    /// Single enclave: short-circuits to `Cluster::run_engine` with
-    /// the caller's recorder — byte-identical to the flat controller
-    /// by construction (results and telemetry exports), the
-    /// differential anchor `tests/hier_parity.rs` pins.
+    /// Single enclave: short-circuits to [`Cluster::run`] with the
+    /// caller's recorder — byte-identical to the flat controller by
+    /// construction (results and telemetry exports), the differential
+    /// anchor `tests/hier_parity.rs` pins.
     ///
     /// Multiple enclaves: alternates coordination (gather demands →
     /// `BudgetAuthority::grant` → install budget overrides) with
-    /// epoch advances fanned out over [`parallel_for_mut`]. All
-    /// cross-enclave effects flow through the grants, which are
-    /// computed on the coordinator thread from deterministic demand
-    /// summaries — so the run is byte-identical at any thread count.
-    pub fn run(mut self) -> HierResult {
+    /// epoch advances fanned out over [`parallel_for_mut`], each
+    /// enclave skipping its own idle intervals up to the epoch
+    /// boundary. All cross-enclave effects flow through the grants,
+    /// which are computed on the coordinator thread from deterministic
+    /// demand summaries — so the run is byte-identical at any thread
+    /// count.
+    pub fn run(self) -> HierResult {
+        self.run_loop(true)
+    }
+
+    /// The parity oracle for [`HierSim::run`]: every enclave executes
+    /// every interval ([`Cluster::run_stepper`]'s loop), so the idle
+    /// skip inside coordination epochs can be proven against it. Tests
+    /// and benches call it; nothing else should.
+    pub fn run_stepper(self) -> HierResult {
+        self.run_loop(false)
+    }
+
+    fn run_loop(mut self, skip_idle: bool) -> HierResult {
         if self.enclaves.len() == 1 {
             let mut run = self.enclaves.pop().expect("one enclave");
             let placeholder = Cluster::new(run.cluster.config().clone(), Vec::new(), 0);
             let cluster = std::mem::replace(&mut run.cluster, placeholder);
             let mut cluster = cluster.with_recorder(self.recorder.clone());
-            let result = cluster.run_engine(run.policy.as_mut(), self.engine);
+            let result = cluster.run_to_end(run.policy.as_mut(), skip_idle);
             return HierResult {
                 enclaves: vec![result],
                 rounds: Vec::new(),
@@ -774,8 +717,7 @@ impl HierSim {
             let placeholder = Cluster::new(run.cluster.config().clone(), Vec::new(), 0);
             let cluster = std::mem::replace(&mut run.cluster, placeholder);
             run.cluster = cluster.with_recorder(run.recorder.clone());
-            run.policy.set_recorder(run.recorder.clone());
-            run.intervals = Vec::with_capacity(run.cluster.interval_capacity());
+            run.cluster.begin(run.policy.as_mut());
         }
 
         let budget_w = self.flat_config.budget_w();
@@ -835,22 +777,16 @@ impl HierSim {
                 slack_w: slack,
             });
 
-            let engine = self.engine;
             parallel_for_mut(&mut self.enclaves, self.threads, |_e, run| {
-                run.advance_to(epoch_end, engine);
+                run.cluster
+                    .advance_to(epoch_end, run.policy.as_mut(), skip_idle);
             });
             epoch_start = epoch_end;
         }
 
         let mut results = Vec::with_capacity(self.enclaves.len());
         for mut run in self.enclaves {
-            let intervals = std::mem::take(&mut run.intervals);
-            let result = run.cluster.finish(
-                run.policy.name(),
-                intervals,
-                run.violations,
-                run.violation_s,
-            );
+            let result = run.cluster.finish(run.policy.name());
             // Fixed fold order — enclave index — so the merged export
             // is a pure function of the spec, not of thread timing.
             self.recorder.merge_from(&run.recorder);

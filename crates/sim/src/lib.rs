@@ -28,11 +28,13 @@
 //!   is always a job available to run at the head of the queue"): all
 //!   jobs are ready at t = 0 in trace order. SWF replays can instead
 //!   honour the log's submit times ([`ClusterConfig::honor_arrivals`]),
-//!   which introduces dead time the event engine skips.
-//! - Two interchangeable cores execute a run ([`SimEngine`]): the
-//!   reference stepper walks every control interval, while the
-//!   event-queue core synthesizes idle gaps in bulk. Both are
-//!   byte-identical under a fixed seed.
+//!   which introduces dead time.
+//! - One loop executes a run ([`Cluster::run`]; [`HierSim`] calls the
+//!   same loop once per coordination epoch): intervals in which
+//!   nothing can happen — no job running, nothing startable, no fault
+//!   or arrival due — are synthesized in bulk, every other interval
+//!   runs the policy. [`Cluster::run_stepper`] executes every interval
+//!   and is the oracle the skip is proven byte-identical against.
 //! - Workloads come from the seeded synthetic [`TraceGenerator`]s
 //!   (Mira/Trinity-calibrated) or from real SWF archive logs via
 //!   [`TraceSource`] (`perq-trace`), which attaches seeded `perq-apps`
@@ -53,7 +55,6 @@
 
 mod budget;
 mod cluster;
-mod event;
 mod fault;
 mod hier;
 mod job;
@@ -66,7 +67,6 @@ mod trace;
 
 pub use budget::BudgetSchedule;
 pub use cluster::{Cluster, ClusterConfig, IntervalLog, SimResult};
-pub use event::SimEngine;
 pub use fault::{AppliedFault, FaultEvent, FaultKind, FaultPlan, FaultRates};
 pub use hier::{
     assign_jobs_to_enclaves, enclave_outage_plan, partition_config, BudgetAuthority, EnclaveDemand,

@@ -20,8 +20,8 @@ use std::collections::{BinaryHeap, VecDeque};
 /// saturated queue (every job ready immediately, in trace order), and
 /// [`Scheduler::with_arrivals`] holds jobs with a future
 /// [`JobSpec::submit_s`] aside until [`Scheduler::release_due`] moves
-/// them into the FCFS queue — the sparse-trace mode the event-driven
-/// engine exploits to skip dead time.
+/// them into the FCFS queue — the sparse-trace mode whose dead time
+/// `Cluster::run` skips.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     queue: VecDeque<JobSpec>,
@@ -118,11 +118,6 @@ impl Scheduler {
         self.future.front().map(|job| job.submit_s)
     }
 
-    /// Submit times of every withheld job, in release order.
-    pub fn future_submit_times(&self) -> impl Iterator<Item = f64> + '_ {
-        self.future.iter().map(|job| job.submit_s)
-    }
-
     /// Jobs still waiting in the released FCFS queue (withheld future
     /// arrivals are not counted).
     pub fn pending(&self) -> usize {
@@ -135,7 +130,7 @@ impl Scheduler {
     }
 
     /// True when some *released* job fits on `free` idle nodes — the
-    /// event engine's "could anything start now" probe for an otherwise
+    /// idle skip's "could anything start now" probe for an otherwise
     /// idle machine (with nothing running, EASY backfilling starts any
     /// fitting job, so this is exact).
     pub fn any_pending_fits(&self, free: usize) -> bool {
@@ -389,10 +384,7 @@ mod tests {
         assert_eq!(s.next_arrival_s(), Some(200.0));
         assert_eq!(s.release_due(200.0), 1);
         assert_eq!(s.next_arrival_s(), None);
-        assert_eq!(
-            s.future_submit_times().collect::<Vec<_>>(),
-            Vec::<f64>::new()
-        );
+        assert_eq!(s.unreleased(), 0);
     }
 
     #[test]

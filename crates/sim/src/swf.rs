@@ -86,7 +86,7 @@ impl TraceSource {
     /// so the first imported job arrives at `t = 0`. Off by default:
     /// the simulator's saturated queue (every job ready at `t = 0`)
     /// reproduces the paper's setup, while arrivals expose the dead
-    /// time the event engine skips.
+    /// time `Cluster::run` skips.
     pub fn with_arrivals(mut self, honor: bool) -> Self {
         self.honor_arrivals = honor;
         self

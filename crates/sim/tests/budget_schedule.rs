@@ -1,13 +1,14 @@
 //! Time-varying budget schedules: the schedule must change the physics
-//! (differential vs the flat budget), stay engine-invariant down to the
-//! exported byte, and surface through the policy context exactly like
-//! the flat budget does. Also pins the two new [`PolicyContext`]
+//! (differential vs the flat budget), stay identical between `run` and
+//! the `run_stepper` oracle down to the exported byte, and surface
+//! through the policy context exactly like the flat budget does. Also
+//! pins the two new [`PolicyContext`]
 //! observables (`queue_depth`, `violation_s`) the gym builds rewards
 //! from.
 
 use perq_sim::{
     BudgetSchedule, Cluster, ClusterConfig, FairPolicy, JobSpec, PolicyContext, PowerAssignment,
-    PowerPolicy, SimEngine, SimResult, SystemModel, TraceGenerator,
+    PowerPolicy, SimResult, SystemModel, TraceGenerator,
 };
 use perq_telemetry::Recorder;
 use proptest::prelude::*;
@@ -16,7 +17,7 @@ fn tardis_config(f: f64, duration_s: f64) -> ClusterConfig {
     ClusterConfig::for_system(&SystemModel::tardis(), f, duration_s)
 }
 
-/// Jobs with hours of dead time between arrivals, so the event engine's
+/// Jobs with hours of dead time between arrivals, so the
 /// bulk idle skip (and its budget-gauge writes) is actually exercised
 /// while the schedule steps through levels.
 fn sparse_jobs() -> Vec<JobSpec> {
@@ -37,7 +38,7 @@ fn run_one(
     jobs: &[JobSpec],
     seed: u64,
     schedule: Option<&BudgetSchedule>,
-    engine: SimEngine,
+    stepper: bool,
 ) -> (SimResult, String, String) {
     let recorder = Recorder::manual();
     let mut cluster =
@@ -45,7 +46,11 @@ fn run_one(
     if let Some(s) = schedule {
         cluster = cluster.with_budget_schedule(s.clone());
     }
-    let result = cluster.run_engine(&mut FairPolicy::new(), engine);
+    let result = if stepper {
+        cluster.run_stepper(&mut FairPolicy::new())
+    } else {
+        cluster.run(&mut FairPolicy::new())
+    };
     (
         result,
         recorder.export_prometheus(),
@@ -59,11 +64,11 @@ fn schedule_changes_the_simulation_and_flat_schedule_does_not() {
     let jobs = TraceGenerator::new(SystemModel::tardis(), 11)
         .generate_saturating(config.nodes, config.duration_s);
 
-    let (base, base_prom, _) = run_one(&config, &jobs, 11, None, SimEngine::Step);
+    let (base, base_prom, _) = run_one(&config, &jobs, 11, None, false);
 
     // A flat schedule at exactly the configured budget is the identity.
     let flat = BudgetSchedule::flat(config.budget_w());
-    let (flat_res, flat_prom, _) = run_one(&config, &jobs, 11, Some(&flat), SimEngine::Step);
+    let (flat_res, flat_prom, _) = run_one(&config, &jobs, 11, Some(&flat), false);
     assert!(
         base.same_simulation(&flat_res),
         "flat schedule must be a no-op"
@@ -73,7 +78,7 @@ fn schedule_changes_the_simulation_and_flat_schedule_does_not() {
     // A diurnal curve with scarce hours must actually bite: the fair
     // share drops with the budget, so the runs diverge.
     let diurnal = BudgetSchedule::diurnal(config.budget_w(), 0.8, 1.0, 1800.0, config.duration_s);
-    let (tight, tight_prom, _) = run_one(&config, &jobs, 11, Some(&diurnal), SimEngine::Step);
+    let (tight, tight_prom, _) = run_one(&config, &jobs, 11, Some(&diurnal), false);
     assert!(
         !base.same_simulation(&tight),
         "a 20% scarce-hour budget cut must change the simulation"
@@ -84,7 +89,7 @@ fn schedule_changes_the_simulation_and_flat_schedule_does_not() {
 }
 
 #[test]
-fn scheduled_sparse_replay_is_engine_invariant() {
+fn scheduled_sparse_replay_matches_the_stepper() {
     // The regression this pins: during a bulk idle skip the stepper's
     // last budget-gauge write is at the final idle interval, not at the
     // wake step — under a schedule those can be different levels.
@@ -92,13 +97,11 @@ fn scheduled_sparse_replay_is_engine_invariant() {
     config.honor_arrivals = true;
     let jobs = sparse_jobs();
     let schedule = BudgetSchedule::diurnal(config.budget_w(), 0.85, 1.0, 3600.0, config.duration_s);
-    let (step, step_prom, step_jsonl) =
-        run_one(&config, &jobs, 42, Some(&schedule), SimEngine::Step);
-    let (event, event_prom, event_jsonl) =
-        run_one(&config, &jobs, 42, Some(&schedule), SimEngine::Event);
+    let (step, step_prom, step_jsonl) = run_one(&config, &jobs, 42, Some(&schedule), true);
+    let (event, event_prom, event_jsonl) = run_one(&config, &jobs, 42, Some(&schedule), false);
     assert!(
         step.same_simulation(&event),
-        "engines diverged under a schedule"
+        "run diverged from the stepper under a schedule"
     );
     assert_eq!(step_prom, event_prom, "Prometheus export diverged");
     assert_eq!(step_jsonl, event_jsonl, "JSONL journal diverged");
@@ -180,7 +183,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn engines_agree_on_random_schedules(
+    fn run_matches_stepper_on_random_schedules(
         seed in 0u64..200,
         low in 0.75f64..1.0,
         period_s in 600.0f64..7200.0,
@@ -190,10 +193,9 @@ proptest! {
         let jobs = sparse_jobs();
         let schedule =
             BudgetSchedule::diurnal(config.budget_w(), low, 1.0, period_s, config.duration_s);
-        let (step, step_prom, step_jsonl) =
-            run_one(&config, &jobs, seed, Some(&schedule), SimEngine::Step);
+        let (step, step_prom, step_jsonl) = run_one(&config, &jobs, seed, Some(&schedule), true);
         let (event, event_prom, event_jsonl) =
-            run_one(&config, &jobs, seed, Some(&schedule), SimEngine::Event);
+            run_one(&config, &jobs, seed, Some(&schedule), false);
         prop_assert!(step.same_simulation(&event));
         prop_assert_eq!(step_prom, event_prom);
         prop_assert_eq!(step_jsonl, event_jsonl);

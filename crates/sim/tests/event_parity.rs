@@ -1,13 +1,15 @@
-//! Step-vs-event engine equivalence: the event core must reproduce the
-//! stepper **exactly** — same [`SimResult`] (records, interval logs, job
-//! traces, faults) and byte-identical telemetry exports — over random
-//! workloads, fault plans, and SWF fixture replays. The speedup comes
-//! only from skipping intervals where nothing can happen, so any
-//! divergence here means the skip logic changed physics.
+//! `run` vs `run_stepper`: the idle-skip loop must reproduce the
+//! every-interval stepper **exactly** — same [`SimResult`] (records,
+//! interval logs, job traces, faults) and byte-identical telemetry
+//! exports — over random workloads, fault plans, and SWF fixture
+//! replays. The speedup comes only from skipping intervals where
+//! nothing can happen, so any divergence here means the skip logic
+//! changed physics.
 
 use perq_sim::{
-    Cluster, ClusterConfig, FairPolicy, FaultPlan, FaultRates, JobSpec, SimEngine, SimResult,
-    SystemModel, TraceGenerator, TraceSource,
+    BudgetSchedule, Cluster, ClusterConfig, FairPolicy, FaultPlan, FaultRates, JobSpec,
+    PolicyContext, PowerAssignment, PowerPolicy, SimResult, SystemModel, TraceGenerator,
+    TraceSource,
 };
 use perq_telemetry::Recorder;
 use proptest::prelude::*;
@@ -21,14 +23,23 @@ fn tardis_config(f: f64, duration_s: f64) -> ClusterConfig {
     ClusterConfig::for_system(&SystemModel::tardis(), f, duration_s)
 }
 
-/// Runs the same fully-specified simulation under one engine, returning
+/// `Cluster::run`, or the `run_stepper` oracle.
+fn run_cluster(cluster: &mut Cluster, policy: &mut dyn PowerPolicy, stepper: bool) -> SimResult {
+    if stepper {
+        cluster.run_stepper(policy)
+    } else {
+        cluster.run(policy)
+    }
+}
+
+/// Runs the same fully-specified simulation under one loop, returning
 /// the result plus both telemetry export encodings.
 fn run_one(
     config: &ClusterConfig,
     jobs: &[JobSpec],
     seed: u64,
     plan: Option<&FaultPlan>,
-    engine: SimEngine,
+    stepper: bool,
 ) -> (SimResult, String, String) {
     let recorder = Recorder::manual();
     let mut cluster =
@@ -36,7 +47,7 @@ fn run_one(
     if let Some(plan) = plan {
         cluster = cluster.with_fault_plan(plan.clone());
     }
-    let result = cluster.run_engine(&mut FairPolicy::new(), engine);
+    let result = run_cluster(&mut cluster, &mut FairPolicy::new(), stepper);
     (
         result,
         recorder.export_prometheus(),
@@ -44,20 +55,20 @@ fn run_one(
     )
 }
 
-/// Asserts byte-identity between the two engines and hands back the
-/// step-engine result for further checks.
+/// Asserts byte-identity between the two loops and hands back the
+/// stepper's result for further checks.
 fn assert_parity(
     config: &ClusterConfig,
     jobs: &[JobSpec],
     seed: u64,
     plan: Option<&FaultPlan>,
 ) -> SimResult {
-    let (step, step_prom, step_jsonl) = run_one(config, jobs, seed, plan, SimEngine::Step);
-    let (event, event_prom, event_jsonl) = run_one(config, jobs, seed, plan, SimEngine::Event);
+    let (step, step_prom, step_jsonl) = run_one(config, jobs, seed, plan, true);
+    let (event, event_prom, event_jsonl) = run_one(config, jobs, seed, plan, false);
     assert!(
         step.same_simulation(&event),
-        "engines diverged (seed {seed}): step {} records / {} intervals, \
-         event {} records / {} intervals",
+        "loops diverged (seed {seed}): stepper {} records / {} intervals, \
+         run {} records / {} intervals",
         step.records.len(),
         step.intervals.len(),
         event.records.len(),
@@ -68,8 +79,8 @@ fn assert_parity(
     step
 }
 
-/// A workload whose submissions leave long idle gaps — the event
-/// engine's best case.
+/// A workload whose submissions leave long idle gaps — the skip's
+/// best case.
 fn sparse_jobs() -> Vec<JobSpec> {
     (0..8)
         .map(|i| JobSpec {
@@ -91,23 +102,28 @@ fn sparse_arrival_replay_matches_and_skips_dead_time() {
     let jobs = sparse_jobs();
     let step = assert_parity(&config, &jobs, 42, None);
 
-    // The skip has to be observable: far fewer policy decisions than
-    // intervals, and the engine diagnostics must say why.
+    // The skip has to be observable — and impossible to disable
+    // silently: an order of magnitude fewer policy decisions than
+    // intervals, and the loop diagnostics must account for every one.
     let diag = Recorder::manual();
     let mut cluster = Cluster::new(config, jobs, 42).with_engine_recorder(diag.clone());
-    let event = cluster.run_engine(&mut FairPolicy::new(), SimEngine::Event);
+    let event = cluster.run(&mut FairPolicy::new());
     assert!(event.same_simulation(&step));
+    assert_eq!(step.decision_times_s.len(), step.intervals.len());
     assert!(
-        event.decision_times_s.len() < step.intervals.len() / 2,
+        event.decision_times_s.len() * 10 < event.intervals.len(),
         "a sparse day must skip most control decisions ({} of {})",
         event.decision_times_s.len(),
-        step.intervals.len()
+        event.intervals.len()
     );
-    let prom = diag.export_prometheus();
-    assert!(prom.contains("perq_sim_events_total"), "{prom}");
+    let executed = diag.counter_value("perq_sim_intervals_executed_total");
+    let skipped = diag.counter_value("perq_sim_intervals_skipped_total");
+    assert_eq!(executed as usize, event.decision_times_s.len());
+    assert_eq!((executed + skipped) as usize, event.intervals.len());
     assert!(
-        prom.contains("perq_sim_intervals_skipped_total"),
-        "sparse run recorded no skipped intervals: {prom}"
+        diag.export_prometheus()
+            .contains("perq_sim_wall_per_sim_day_seconds"),
+        "a full simulated day must be timed"
     );
 }
 
@@ -115,26 +131,25 @@ fn sparse_arrival_replay_matches_and_skips_dead_time() {
 fn recycled_interval_buffer_changes_nothing() {
     // Reusing a previous run's interval log (the allocation-recycling
     // path benchmark medians and repeated what-if replays use) must be
-    // invisible in the results, on both engines — even when the donor
+    // invisible in the results, under both loops — even when the donor
     // run came from a different workload.
     let mut config = tardis_config(2.0, 12.0 * 3600.0);
     config.honor_arrivals = true;
     let jobs = sparse_jobs();
     let donor = TraceGenerator::new(SystemModel::tardis(), 3)
         .generate_saturating(config.nodes, config.duration_s);
-    for engine in [SimEngine::Step, SimEngine::Event] {
-        let (fresh, fresh_prom, fresh_jsonl) = run_one(&config, &jobs, 42, None, engine);
-        let buffer = Cluster::new(config.clone(), donor.clone(), 7)
-            .run_engine(&mut FairPolicy::new(), engine)
-            .intervals;
+    for stepper in [true, false] {
+        let (fresh, fresh_prom, fresh_jsonl) = run_one(&config, &jobs, 42, None, stepper);
+        let mut donor_cluster = Cluster::new(config.clone(), donor.clone(), 7);
+        let buffer = run_cluster(&mut donor_cluster, &mut FairPolicy::new(), stepper).intervals;
         let recorder = Recorder::manual();
         let mut cluster = Cluster::new(config.clone(), jobs.clone(), 42)
             .with_recorder(recorder.clone())
             .with_recycled_intervals(buffer);
-        let recycled = cluster.run_engine(&mut FairPolicy::new(), engine);
+        let recycled = run_cluster(&mut cluster, &mut FairPolicy::new(), stepper);
         assert!(
             fresh.same_simulation(&recycled),
-            "recycled buffer changed the {engine} engine's results"
+            "recycled buffer changed the results (stepper: {stepper})"
         );
         assert_eq!(fresh_prom, recorder.export_prometheus());
         assert_eq!(fresh_jsonl, recorder.export_jsonl());
@@ -156,7 +171,7 @@ fn saturated_workload_matches_with_faults() {
 }
 
 #[test]
-fn swf_fixture_replay_is_engine_invariant() {
+fn swf_fixture_replay_matches_the_stepper() {
     let text = std::fs::read_to_string(TARDIS_TINY_SWF).expect("fixture must exist");
     let report = perq_trace::parse_swf_report(&text, perq_trace::ParseMode::Lenient)
         .expect("fixture parses");
@@ -169,6 +184,112 @@ fn swf_fixture_replay_is_engine_invariant() {
         config.honor_arrivals = honor_arrivals;
         assert_parity(&config, &jobs, 5, None);
     }
+}
+
+/// A policy that digests everything the simulator tells it: every
+/// non-empty [`PolicyContext`] (all scalar fields and every job view,
+/// floats by bit pattern) and every `job_departed`, in call order.
+/// Empty contexts are not digested — an idle interval is exactly the
+/// call the skip elides, and a policy must not be able to tell (the
+/// zoo driver and every shipped policy treat it as a no-op).
+struct DigestPolicy {
+    inner: FairPolicy,
+    digest: u64,
+    calls: usize,
+    departures: usize,
+}
+
+impl DigestPolicy {
+    fn new() -> Self {
+        DigestPolicy {
+            inner: FairPolicy::new(),
+            digest: 0xcbf2_9ce4_8422_2325,
+            calls: 0,
+            departures: 0,
+        }
+    }
+
+    fn mix(&mut self, word: u64) {
+        self.digest = (self.digest ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+impl PowerPolicy for DigestPolicy {
+    fn name(&self) -> &str {
+        "DIGEST"
+    }
+
+    fn assign(&mut self, ctx: &PolicyContext<'_>) -> Vec<PowerAssignment> {
+        if !ctx.jobs.is_empty() {
+            self.calls += 1;
+            for word in [
+                ctx.time_s.to_bits(),
+                ctx.interval_s.to_bits(),
+                ctx.busy_budget_w.to_bits(),
+                ctx.cap_min_w.to_bits(),
+                ctx.cap_max_w.to_bits(),
+                ctx.total_nodes as u64,
+                ctx.wp_nodes as u64,
+                ctx.queue_depth as u64,
+                ctx.violation_s.to_bits(),
+                ctx.jobs.len() as u64,
+            ] {
+                self.mix(word);
+            }
+            for j in ctx.jobs {
+                for word in [
+                    j.id,
+                    j.size as u64,
+                    j.elapsed_s.to_bits(),
+                    j.measured_ips.map_or(u64::MAX, f64::to_bits),
+                    j.current_cap_w.to_bits(),
+                    j.measured_power_w.map_or(u64::MAX, f64::to_bits),
+                    j.remaining_node_hours.to_bits(),
+                    j.is_new as u64,
+                ] {
+                    self.mix(word);
+                }
+            }
+        }
+        self.inner.assign(ctx)
+    }
+
+    fn job_departed(&mut self, job_id: u64) {
+        self.departures += 1;
+        self.mix(0xDEAD_0000_0000_0000 ^ job_id);
+    }
+}
+
+#[test]
+fn policies_see_the_same_call_stream_under_both_loops() {
+    // Sparse arrivals under a diurnal budget curve with lying sensors:
+    // the regime where the two loops' code paths differ most. The
+    // policy-visible stream — contexts and departures — must not.
+    let mut config = tardis_config(2.0, 12.0 * 3600.0);
+    config.honor_arrivals = true;
+    let jobs = sparse_jobs();
+    let steps = (config.duration_s / config.interval_s) as usize;
+    let plan = FaultPlan::generate(5, steps, &FaultRates::adversarial_telemetry());
+    let schedule = BudgetSchedule::diurnal(config.budget_w(), 0.8, 1.0, 3600.0, config.duration_s);
+    let run = |stepper: bool| {
+        let mut policy = DigestPolicy::new();
+        let mut cluster = Cluster::new(config.clone(), jobs.clone(), 42)
+            .with_fault_plan(plan.clone())
+            .with_budget_schedule(schedule.clone());
+        let result = run_cluster(&mut cluster, &mut policy, stepper);
+        (result, policy)
+    };
+    let (step, step_policy) = run(true);
+    let (skip, skip_policy) = run(false);
+    assert!(step.same_simulation(&skip));
+    assert!(!step.faults.is_empty(), "the plan must lie at least once");
+    assert!(step_policy.calls > 0 && step_policy.departures > 0);
+    assert_eq!(step_policy.calls, skip_policy.calls);
+    assert_eq!(step_policy.departures, skip_policy.departures);
+    assert_eq!(
+        step_policy.digest, skip_policy.digest,
+        "the skip changed what the policy was told"
+    );
 }
 
 /// Random jobs with explicit arrival times: sizes, runtimes, and submit
@@ -201,7 +322,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn engines_agree_on_random_arrival_workloads(
+    fn run_matches_stepper_on_random_arrival_workloads(
         jobs in arb_arrival_jobs(),
         seed in 0u64..1000,
         f in 1.0f64..2.0,
@@ -212,7 +333,7 @@ proptest! {
     }
 
     #[test]
-    fn engines_agree_on_random_fault_plans(
+    fn run_matches_stepper_on_random_fault_plans(
         trace_seed in 0u64..200,
         plan_seed in 0u64..200,
         aggressive in proptest::bool::ANY,
@@ -231,7 +352,7 @@ proptest! {
     }
 
     #[test]
-    fn engines_agree_on_saturated_random_traces(seed in 0u64..500) {
+    fn run_matches_stepper_on_saturated_random_traces(seed in 0u64..500) {
         let config = tardis_config(2.0, 1800.0);
         let jobs = TraceGenerator::new(SystemModel::tardis(), seed)
             .generate_saturating(config.nodes, config.duration_s);

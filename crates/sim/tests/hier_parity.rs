@@ -4,7 +4,8 @@
 //! seed, same cluster, same policy loop, same recorder. These tests pin
 //! that down to the byte — [`SimResult::same_simulation`] plus identical
 //! Prometheus and JSONL exports — over random workloads, fault plans,
-//! and the SWF fixture, on both engines. A wide hierarchy (64 enclaves)
+//! and the SWF fixture, under `run` and the `run_stepper` oracle. A wide
+//! hierarchy (64 enclaves)
 //! cannot be byte-identical (the coordinator quantises power to enclave
 //! granularity and the scheduler loses cross-enclave backfill), so it is
 //! held to the documented tolerance instead: per-node mean power within
@@ -12,8 +13,9 @@
 //! (DESIGN.md §11 explains where the gap comes from).
 
 use perq_sim::{
-    Cluster, ClusterConfig, FairPolicy, FaultPlan, FaultRates, HierSim, HierTopology, JobSpec,
-    PowerPolicy, SimEngine, SimResult, SystemModel, TraceGenerator, TraceSource,
+    enclave_outage_plan, partition_config, Cluster, ClusterConfig, FairPolicy, FaultPlan,
+    FaultRates, HierSim, HierTopology, JobSpec, PowerPolicy, SimResult, SystemModel,
+    TraceGenerator, TraceSource,
 };
 use perq_telemetry::Recorder;
 use proptest::prelude::*;
@@ -33,7 +35,7 @@ fn run_flat(
     jobs: &[JobSpec],
     seed: u64,
     plan: Option<&FaultPlan>,
-    engine: SimEngine,
+    stepper: bool,
 ) -> (SimResult, String, String) {
     let recorder = Recorder::manual();
     let mut cluster =
@@ -41,7 +43,11 @@ fn run_flat(
     if let Some(plan) = plan {
         cluster = cluster.with_fault_plan(plan.clone());
     }
-    let result = cluster.run_engine(&mut FairPolicy::new(), engine);
+    let result = if stepper {
+        cluster.run_stepper(&mut FairPolicy::new())
+    } else {
+        cluster.run(&mut FairPolicy::new())
+    };
     (
         result,
         recorder.export_prometheus(),
@@ -56,22 +62,23 @@ fn run_hier(
     jobs: &[JobSpec],
     seed: u64,
     topology: HierTopology,
-    plan: Option<&FaultPlan>,
-    engine: SimEngine,
+    plans: Vec<FaultPlan>,
+    stepper: bool,
     threads: usize,
 ) -> (perq_sim::HierResult, String, String) {
     let recorder = Recorder::manual();
     let policies: Vec<Box<dyn PowerPolicy + Send>> = (0..topology.enclaves)
         .map(|_| Box::new(FairPolicy::new()) as Box<dyn PowerPolicy + Send>)
         .collect();
-    let mut sim = HierSim::new(config.clone(), jobs.to_vec(), seed, topology, policies)
-        .with_engine(engine)
+    let sim = HierSim::new(config.clone(), jobs.to_vec(), seed, topology, policies)
         .with_threads(threads)
-        .with_recorder(recorder.clone());
-    if let Some(plan) = plan {
-        sim = sim.with_fault_plan(plan.clone());
-    }
-    let result = sim.run();
+        .with_recorder(recorder.clone())
+        .with_enclave_fault_plans(plans);
+    let result = if stepper {
+        sim.run_stepper()
+    } else {
+        sim.run()
+    };
     (
         result,
         recorder.export_prometheus(),
@@ -80,22 +87,22 @@ fn run_hier(
 }
 
 /// Asserts the one-enclave hierarchy reproduces the flat run to the
-/// byte, on one engine, and returns the flat result.
+/// byte, under one loop, and returns the flat result.
 fn assert_single_enclave_identity(
     config: &ClusterConfig,
     jobs: &[JobSpec],
     seed: u64,
     plan: Option<&FaultPlan>,
-    engine: SimEngine,
+    stepper: bool,
 ) -> SimResult {
-    let (flat, flat_prom, flat_jsonl) = run_flat(config, jobs, seed, plan, engine);
+    let (flat, flat_prom, flat_jsonl) = run_flat(config, jobs, seed, plan, stepper);
     let (hier, hier_prom, hier_jsonl) = run_hier(
         config,
         jobs,
         seed,
         HierTopology::enclaves(1),
-        plan,
-        engine,
+        plan.cloned().into_iter().collect(),
+        stepper,
         1,
     );
     assert!(
@@ -105,7 +112,7 @@ fn assert_single_enclave_identity(
     assert_eq!(hier.enclaves.len(), 1);
     assert!(
         flat.same_simulation(&hier.enclaves[0]),
-        "1-enclave hierarchy diverged from flat (seed {seed}, {engine} engine): \
+        "1-enclave hierarchy diverged from flat (seed {seed}, stepper: {stepper}): \
          flat {} records / {} intervals, hier {} records / {} intervals",
         flat.records.len(),
         flat.intervals.len(),
@@ -123,7 +130,7 @@ fn single_enclave_matches_flat_on_swf_fixture() {
     let text = std::fs::read_to_string(TARDIS_TINY_SWF).expect("fixture must exist");
     let report = perq_trace::parse_swf_report(&text, perq_trace::ParseMode::Lenient)
         .expect("fixture parses");
-    for engine in [SimEngine::Step, SimEngine::Event] {
+    for stepper in [true, false] {
         for honor_arrivals in [false, true] {
             let (jobs, summary) = TraceSource::new(report.trace.clone(), 5)
                 .with_arrivals(honor_arrivals)
@@ -131,7 +138,7 @@ fn single_enclave_matches_flat_on_swf_fixture() {
             assert!(summary.imported > 0);
             let mut config = tardis_config(2.0, 4.0 * 3600.0);
             config.honor_arrivals = honor_arrivals;
-            assert_single_enclave_identity(&config, &jobs, 5, None, engine);
+            assert_single_enclave_identity(&config, &jobs, 5, None, stepper);
         }
     }
 }
@@ -143,8 +150,8 @@ fn single_enclave_matches_flat_under_faults() {
         .generate_saturating(config.nodes, config.duration_s);
     let steps = (config.duration_s / config.interval_s) as usize;
     let plan = FaultPlan::generate(13, steps, &FaultRates::aggressive());
-    for engine in [SimEngine::Step, SimEngine::Event] {
-        let flat = assert_single_enclave_identity(&config, &jobs, 9, Some(&plan), engine);
+    for stepper in [true, false] {
+        let flat = assert_single_enclave_identity(&config, &jobs, 9, Some(&plan), stepper);
         assert!(
             !flat.faults.is_empty(),
             "aggressive fault rates must inject something"
@@ -153,25 +160,86 @@ fn single_enclave_matches_flat_under_faults() {
 }
 
 #[test]
-fn hierarchy_is_engine_invariant() {
-    // The multi-enclave epoch loop must preserve the step/event
-    // equivalence the flat core guarantees: identical results and
-    // exports from both engines.
+fn hierarchy_matches_its_stepper() {
+    // The multi-enclave epoch loop must preserve the run/run_stepper
+    // equivalence the flat loop guarantees: identical results and
+    // exports either way.
     let mut config = tardis_config(2.0, 2.0 * 3600.0);
     config.honor_arrivals = true;
     let jobs = TraceGenerator::new(SystemModel::tardis(), 21)
         .generate_saturating(config.nodes, config.duration_s);
     let topo = HierTopology::enclaves(4).with_tenant_weights(&[1.0, 2.0]);
     let (step, step_prom, step_jsonl) =
-        run_hier(&config, &jobs, 21, topo.clone(), None, SimEngine::Step, 1);
-    let (event, event_prom, event_jsonl) =
-        run_hier(&config, &jobs, 21, topo, None, SimEngine::Event, 1);
+        run_hier(&config, &jobs, 21, topo.clone(), Vec::new(), true, 1);
+    let (event, event_prom, event_jsonl) = run_hier(&config, &jobs, 21, topo, Vec::new(), false, 1);
     assert_eq!(step.rounds, event.rounds, "grant rounds diverged");
     for (s, e) in step.enclaves.iter().zip(event.enclaves.iter()) {
-        assert!(s.same_simulation(e), "an enclave diverged across engines");
+        assert!(s.same_simulation(e), "an enclave diverged from its stepper");
     }
     assert_eq!(step_prom, event_prom);
     assert_eq!(step_jsonl, event_jsonl);
+}
+
+#[test]
+fn idle_enclaves_skip_inside_epochs_and_faults_land_in_idle_gaps() {
+    // Four enclaves, six jobs arriving the better part of an hour
+    // apart: every enclave is idle for most epochs, and enclave 3
+    // (whose first job arrives at step 901) suffers a whole-enclave
+    // outage in the middle of its idle gap — crash and recovery both
+    // off the epoch grid (steps 250 and 605, epochs are 6 steps). The
+    // skip must wake for both, apply them at their exact step, and
+    // leave results, grant rounds and exports byte-identical to the
+    // every-interval oracle at any thread count.
+    let mut config = tardis_config(2.0, 6.0 * 3600.0);
+    config.honor_arrivals = true;
+    let jobs: Vec<JobSpec> = (0..6)
+        .map(|i| JobSpec {
+            id: i,
+            app_index: (i % 5) as usize,
+            size: 1 + (i % 2) as usize,
+            runtime_tdp_s: 300.0 + 90.0 * i as f64,
+            runtime_estimate_s: (300.0 + 90.0 * i as f64) * 1.3,
+            submit_s: 3_000.0 * i as f64 + 15.0,
+        })
+        .collect();
+    let topo = HierTopology::enclaves(4).with_tenant_weights(&[1.0, 2.0]);
+    let enclave_nodes = partition_config(&config, 4)[3].nodes;
+    let mut plans = vec![FaultPlan::default(); 3];
+    plans.push(enclave_outage_plan(enclave_nodes, 250, Some(605)));
+    let (step, step_prom, step_jsonl) =
+        run_hier(&config, &jobs, 33, topo.clone(), plans.clone(), true, 1);
+    assert_eq!(step.enclaves[3].faults.len(), 2, "outage must apply");
+    assert_eq!(step.enclaves[3].faults[0].step, 250);
+    assert_eq!(step.enclaves[3].faults[1].step, 605);
+    assert!(
+        !step.enclaves[3].records.is_empty()
+            && step.enclaves[3].records.iter().all(|r| r.start_s > 6050.0),
+        "enclave 3 must be idle across the outage and busy after it"
+    );
+    for threads in [1, 3] {
+        let (skip, skip_prom, skip_jsonl) = run_hier(
+            &config,
+            &jobs,
+            33,
+            topo.clone(),
+            plans.clone(),
+            false,
+            threads,
+        );
+        assert_eq!(step.rounds, skip.rounds, "grant rounds diverged");
+        for (s, e) in step.enclaves.iter().zip(skip.enclaves.iter()) {
+            assert!(s.same_simulation(e), "an enclave diverged from its stepper");
+            assert_eq!(s.decision_times_s.len(), s.intervals.len());
+            assert!(
+                e.decision_times_s.len() * 10 < e.intervals.len(),
+                "an idle enclave must skip inside its epochs ({} of {})",
+                e.decision_times_s.len(),
+                e.intervals.len()
+            );
+        }
+        assert_eq!(step_prom, skip_prom);
+        assert_eq!(step_jsonl, skip_jsonl);
+    }
 }
 
 /// A machine wide enough for 64 enclaves (Tardis is an 8-WP-node
@@ -190,14 +258,14 @@ fn wide_hierarchy_tracks_flat_within_tolerance() {
     let config = wide_config(2.0 * 3600.0);
     let jobs = TraceGenerator::new(SystemModel::tardis(), 11)
         .generate_saturating(config.nodes, config.duration_s);
-    let (flat, _, _) = run_flat(&config, &jobs, 11, None, SimEngine::Step);
+    let (flat, _, _) = run_flat(&config, &jobs, 11, None, false);
     let (hier, _, _) = run_hier(
         &config,
         &jobs,
         11,
         HierTopology::enclaves(64),
-        None,
-        SimEngine::Step,
+        Vec::new(),
+        false,
         4,
     );
     assert!(!hier.rounds.is_empty(), "64 enclaves must coordinate");
@@ -242,7 +310,7 @@ fn wide_hierarchy_tracks_flat_within_tolerance() {
 }
 
 /// Random jobs with explicit arrival times (same generator as the
-/// engine-parity suite, so counterexamples shrink the same way).
+/// `event_parity` suite, so counterexamples shrink the same way).
 fn arb_arrival_jobs() -> impl Strategy<Value = Vec<JobSpec>> {
     prop::collection::vec((1usize..6, 120.0f64..3000.0, 0.0f64..20_000.0), 1..24).prop_map(
         |specs| {
@@ -277,8 +345,8 @@ proptest! {
     ) {
         let mut config = tardis_config(f, 6.0 * 3600.0);
         config.honor_arrivals = true;
-        for engine in [SimEngine::Step, SimEngine::Event] {
-            assert_single_enclave_identity(&config, &jobs, seed, None, engine);
+        for stepper in [true, false] {
+            assert_single_enclave_identity(&config, &jobs, seed, None, stepper);
         }
     }
 
@@ -292,8 +360,8 @@ proptest! {
             .generate_saturating(config.nodes, config.duration_s);
         let steps = (config.duration_s / config.interval_s) as usize;
         let plan = FaultPlan::generate(plan_seed, steps, &FaultRates::aggressive());
-        for engine in [SimEngine::Step, SimEngine::Event] {
-            assert_single_enclave_identity(&config, &jobs, trace_seed, Some(&plan), engine);
+        for stepper in [true, false] {
+            assert_single_enclave_identity(&config, &jobs, trace_seed, Some(&plan), stepper);
         }
     }
 }

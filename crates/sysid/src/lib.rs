@@ -19,9 +19,6 @@
 //! - [`Rls`]: recursive least squares with exponential forgetting, used by
 //!   the controller for per-job gain/offset adaptation and local
 //!   sensitivity (slope) estimation.
-//! - [`DemandForecaster`]: confidence-gated RLS demand curve
-//!   (cap fraction → drawn-power fraction) that perq-gym's hybrid policy
-//!   trains online and feeds into MPC warm starts for new jobs.
 //! - [`MonotoneCurve`] / [`fit_monotone_curve`]: Hammerstein-style static
 //!   nonlinearity fitted with least squares followed by an isotonic
 //!   (pool-adjacent-violators) projection — the saturating power→perf
@@ -34,7 +31,6 @@
 
 mod arx;
 pub mod excite;
-mod forecast;
 mod hammerstein;
 mod metrics;
 mod observer;
@@ -42,7 +38,6 @@ mod rls;
 mod ss;
 
 pub use arx::{fit_arx, fit_arx_segments, ArxModel};
-pub use forecast::DemandForecaster;
 pub use hammerstein::{fit_monotone_curve, MonotoneCurve};
 pub use metrics::{fit_percent, rmse};
 pub use observer::KalmanObserver;
