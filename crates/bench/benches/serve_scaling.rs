@@ -13,9 +13,9 @@
 //!
 //! - Default (criterion): `cargo bench --bench serve_scaling`.
 //! - Snapshot: `cargo bench --bench serve_scaling -- --snapshot` writes
-//!   `BENCH_serve.json` at the repo root and asserts the paper-shaped
-//!   acceptance bound: p99 tick latency at 8192 workers stays under one
-//!   50 ms decide interval.
+//!   `BENCH_serve.json` at the repo root, one FOP and one PERQ row per
+//!   size, and asserts the paper-shaped acceptance bound on both: p99
+//!   tick latency at 8192 workers stays under one 50 ms decide interval.
 
 use criterion::{criterion_group, Criterion};
 use perq_bench::timing::percentile;
@@ -34,15 +34,17 @@ struct Rig {
     scratch: Vec<u8>,
 }
 
-fn build_rig(nodes: u32) -> Rig {
+fn build_rig(nodes: u32, policy: &str) -> Rig {
+    // Half the workers' worth of budget, so PERQ's caps bind and its
+    // dither moves every cap every tick; FOP then holds one constant cap.
     let cfg = ServeConfig {
-        wp_nodes: nodes as usize,
+        wp_nodes: nodes as usize / 2,
         ..ServeConfig::default()
     };
     let server = Server::with_recorders(
         MemPoller::new(0),
         cfg,
-        make_policy("fop").unwrap(),
+        make_policy(policy).unwrap(),
         Recorder::noop(),
         Recorder::noop(),
     );
@@ -95,7 +97,7 @@ fn bench_serve(c: &mut Criterion) {
     let mut group = c.benchmark_group("serve_scaling");
     group.sample_size(20);
     for nodes in [64u32, 1024] {
-        let mut rig = build_rig(nodes);
+        let mut rig = build_rig(nodes, "fop");
         round(&mut rig); // registration + first launch settle
         group.bench_function(format!("tick/{nodes}"), |b| b.iter(|| round(&mut rig)));
     }
@@ -108,8 +110,11 @@ fn snapshot() {
     const TICKS: usize = 20;
     const WARMUP: usize = 3;
     let mut rows = Vec::new();
-    for nodes in [64u32, 512, 2048, 8192] {
-        let mut rig = build_rig(nodes);
+    for (nodes, policy) in [64u32, 512, 2048, 8192]
+        .into_iter()
+        .flat_map(|n| [(n, "fop"), (n, "perq")])
+    {
+        let mut rig = build_rig(nodes, policy);
         for _ in 0..WARMUP {
             round(&mut rig);
         }
@@ -132,20 +137,22 @@ fn snapshot() {
         let p99 = percentile(&lat, 99.0);
         let frames_per_s = frames as f64 / total_s;
         println!(
-            "serve    nodes={nodes:5}: p50 {:8.3} ms  p99 {:8.3} ms  {frames_per_s:10.0} frames/s",
+            "serve    nodes={nodes:5} {policy:4}: p50 {:8.3} ms  p99 {:8.3} ms  \
+             {frames_per_s:10.0} frames/s",
             1e3 * p50,
             1e3 * p99
         );
         if nodes == 8192 {
             assert!(
                 p99 < DECIDE_INTERVAL_S,
-                "p99 tick latency at 8192 workers ({:.3} ms) exceeds one 50 ms decide interval",
+                "{policy}: p99 tick latency at 8192 workers ({:.3} ms) exceeds one 50 ms \
+                 decide interval",
                 1e3 * p99
             );
         }
         rows.push(format!(
-            "{{\"nodes\": {nodes}, \"p50_tick_ms\": {:.4}, \"p99_tick_ms\": {:.4}, \
-             \"frames_per_sec\": {frames_per_s:.0}}}",
+            "{{\"nodes\": {nodes}, \"policy\": \"{policy}\", \"p50_tick_ms\": {:.4}, \
+             \"p99_tick_ms\": {:.4}, \"frames_per_sec\": {frames_per_s:.0}}}",
             1e3 * p50,
             1e3 * p99
         ));
@@ -154,10 +161,13 @@ fn snapshot() {
     // environments where serde_json is stubbed out.
     let doc = format!(
         "{{\n  \"bench\": \"serve_scaling\",\n  \"description\": \"perq-serve event-loop tick \
-         latency over the deterministic in-memory poller at 64-8192 sans-io workers (FOP policy, \
-         one report per worker per tick). Latency counts only the server's own pump+decide wall \
-         time; worker stepping is harness cost. p99 at 8192 workers is asserted under one 50 ms \
-         decide interval.\",\n  \"ticks_per_size\": {TICKS},\n  \"scaling\": [\n    {}\n  ]\n}}\n",
+         latency over the deterministic in-memory poller at 64-8192 sans-io workers, under FOP \
+         and under PERQ, with half the workers' worth of budget (one report per worker per \
+         tick). Latency counts only the server's own pump+decide wall time; worker stepping is \
+         harness cost. p99 at 8192 workers is asserted under one 50 ms decide interval for \
+         both policies.\",\n  {},\n  \"ticks_per_size\": {TICKS},\n  \"scaling\": [\n    {}\n  \
+         ]\n}}\n",
+        perq_bench::snapshot_header(),
         rows.join(",\n    ")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");

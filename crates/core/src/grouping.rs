@@ -29,13 +29,18 @@ use crate::mpc::{MpcController, MpcDecision, MpcInput, MpcJobState};
 /// deficit, and split into contiguous runs.
 pub fn group_jobs(jobs: &[MpcJobState], max_groups: usize) -> Vec<Vec<usize>> {
     assert!(max_groups >= 2, "need at least one group per charge class");
-    let mut charged: Vec<usize> = Vec::new();
-    let mut slack: Vec<usize> = Vec::new();
+    // Each job's sort key is computed once, here, not once per comparison.
+    let mut charged: Vec<((f64, f64), usize)> = Vec::new();
+    let mut slack: Vec<((f64, f64), usize)> = Vec::new();
     for (i, j) in jobs.iter().enumerate() {
+        let key = (
+            j.gain * j.curve_slope,
+            j.target - j.free_response.first().copied().unwrap_or(0.0),
+        );
         if j.charged {
-            charged.push(i);
+            charged.push((key, i));
         } else {
-            slack.push(i);
+            slack.push((key, i));
         }
     }
     // Split the group budget proportionally to class population, at least
@@ -53,25 +58,16 @@ pub fn group_jobs(jobs: &[MpcJobState], max_groups: usize) -> Vec<Vec<usize>> {
     };
 
     let mut groups = Vec::new();
-    for (indices, n_groups) in [(charged, charged_groups), (slack, slack_groups)] {
-        if indices.is_empty() {
+    for (mut keyed, n_groups) in [(charged, charged_groups), (slack, slack_groups)] {
+        if keyed.is_empty() {
             continue;
         }
-        let mut sorted = indices;
-        sorted.sort_by(|&a, &b| {
-            let key = |i: usize| {
-                let j = &jobs[i];
-                (
-                    j.gain * j.curve_slope,
-                    j.target - j.free_response.first().copied().unwrap_or(0.0),
-                )
-            };
-            key(a).partial_cmp(&key(b)).expect("finite control state")
-        });
-        let n_groups = n_groups.min(sorted.len()).max(1);
-        let chunk = sorted.len().div_ceil(n_groups);
-        for block in sorted.chunks(chunk) {
-            groups.push(block.to_vec());
+        // Stable, so equal keys keep job order.
+        keyed.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite control state"));
+        let n_groups = n_groups.min(keyed.len()).max(1);
+        let chunk = keyed.len().div_ceil(n_groups);
+        for block in keyed.chunks(chunk) {
+            groups.push(block.iter().map(|&(_, i)| i).collect());
         }
     }
     groups
@@ -236,6 +232,87 @@ mod tests {
         for g in &groups {
             let charged = jobs[g[0]].charged;
             assert!(g.iter().all(|&i| jobs[i].charged == charged));
+        }
+    }
+
+    /// `group_jobs` as it was before the keys were cached: the comparator
+    /// recomputes both jobs' keys on every call.
+    fn group_jobs_by_comparator(jobs: &[MpcJobState], max_groups: usize) -> Vec<Vec<usize>> {
+        let (charged, slack): (Vec<usize>, Vec<usize>) =
+            (0..jobs.len()).partition(|&i| jobs[i].charged);
+        let total = jobs.len().max(1);
+        let charged_groups = if charged.is_empty() {
+            0
+        } else {
+            ((max_groups * charged.len()) / total)
+                .clamp(1, max_groups - usize::from(!slack.is_empty()))
+        };
+        let slack_groups = if slack.is_empty() {
+            0
+        } else {
+            (max_groups - charged_groups).max(1)
+        };
+        let mut groups = Vec::new();
+        for (mut sorted, n_groups) in [(charged, charged_groups), (slack, slack_groups)] {
+            if sorted.is_empty() {
+                continue;
+            }
+            sorted.sort_by(|&a, &b| {
+                let key = |i: usize| {
+                    let j = &jobs[i];
+                    (
+                        j.gain * j.curve_slope,
+                        j.target - j.free_response.first().copied().unwrap_or(0.0),
+                    )
+                };
+                key(a).partial_cmp(&key(b)).expect("finite control state")
+            });
+            let n_groups = n_groups.min(sorted.len()).max(1);
+            for block in sorted.chunks(sorted.len().div_ceil(n_groups)) {
+                groups.push(block.to_vec());
+            }
+        }
+        groups
+    }
+
+    proptest::proptest! {
+        /// Few distinct values per field, so keys repeat and the sort's
+        /// stability decides the order; `class` 0 and 1 leave one charge
+        /// class empty; `max_groups` runs past the job count.
+        #[test]
+        fn cached_keys_group_like_the_comparator(
+            picks in proptest::collection::vec(
+                (0usize..3, 0usize..2, 0usize..2, 0usize..3, proptest::bool::ANY),
+                1..40,
+            ),
+            class in 0usize..4,
+            extra_groups in 0usize..6,
+            tight in proptest::bool::ANY,
+        ) {
+            let jobs: Vec<MpcJobState> = picks
+                .iter()
+                .map(|&(gain, slope, target, free, charged)| MpcJobState {
+                    size: 1,
+                    target: [0.5, 0.7][target],
+                    current_cap_frac: 0.5,
+                    gain: [0.5, 1.0, 1.5][gain],
+                    free_response: [vec![], vec![0.1, 9.0], vec![0.3]][free].clone(),
+                    curve_value: 0.5,
+                    curve_slope: [1.0, 2.0][slope],
+                    bias: 0.0,
+                    charged: match class {
+                        0 => true,
+                        1 => false,
+                        _ => charged,
+                    },
+                })
+                .collect();
+            let max_groups = if tight { 2 + extra_groups } else { jobs.len() + extra_groups };
+            let max_groups = max_groups.max(2);
+            proptest::prop_assert_eq!(
+                group_jobs(&jobs, max_groups),
+                group_jobs_by_comparator(&jobs, max_groups)
+            );
         }
     }
 

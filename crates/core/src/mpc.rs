@@ -221,22 +221,29 @@ impl MpcController {
     /// — building them is a matrix, a vector per power of `A` and O(M·n²)
     /// products for a value no job and no decision changes.
     pub fn free_response(&self, model: &NodeModel, state: &[f64]) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.free_response_into(model, state, &mut out);
+        out
+    }
+
+    /// [`MpcController::free_response`] written over `out`, so a caller
+    /// that decides every interval keeps one buffer per job.
+    pub fn free_response_into(&self, model: &NodeModel, state: &[f64], out: &mut Vec<f64>) {
         debug_assert_eq!(
             model.ss.output_offset().to_bits(),
             self.output_offset.to_bits(),
             "free_response called with a model other than the controller's"
         );
-        (0..self.settings.horizon)
-            .map(|j| {
-                self.response_rows
-                    .row(j)
-                    .iter()
-                    .zip(state.iter())
-                    .map(|(&a, &b)| a * b)
-                    .sum::<f64>()
-                    + self.output_offset
-            })
-            .collect()
+        out.clear();
+        out.extend((0..self.settings.horizon).map(|j| {
+            self.response_rows
+                .row(j)
+                .iter()
+                .zip(state.iter())
+                .map(|(&a, &b)| a * b)
+                .sum::<f64>()
+                + self.output_offset
+        }));
     }
 
     /// Assembles the decision QP of Eq. 4 in structured form — the
@@ -380,6 +387,26 @@ mod tests {
             gain,
             gain * model.curve.eval(cap),
         )
+    }
+
+    #[test]
+    fn free_response_into_overwrites_whatever_the_buffer_held() {
+        let model = model();
+        let ctrl = MpcController::new(&model, MpcSettings::default());
+        let mut obs = perq_sysid::KalmanObserver::new(model.ss.clone(), 0.05, 1e-3);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // One buffer through longer, shorter and empty previous contents.
+        let mut buf = vec![f64::NAN; 3 * ctrl.settings().horizon];
+        for (cap, y) in [(0.4, 0.3), (0.9, 1.1), (0.6, 0.0)] {
+            obs.seed_steady_state(model.curve.eval(cap), y);
+            ctrl.free_response_into(&model, obs.state(), &mut buf);
+            assert_eq!(bits(&buf), bits(&ctrl.free_response(&model, obs.state())));
+            assert_eq!(buf.len(), ctrl.settings().horizon);
+            buf.truncate(buf.len() / 2);
+        }
+        buf.clear();
+        ctrl.free_response_into(&model, obs.state(), &mut buf);
+        assert_eq!(bits(&buf), bits(&ctrl.free_response(&model, obs.state())));
     }
 
     /// Like [`job_at`] but with the job's current output level seeded

@@ -71,6 +71,9 @@ pub struct PerqPolicy {
     /// feedback, so this cuts solver iterations without changing what
     /// the solver converges to.
     prev_traj: HashMap<u64, Vec<f64>>,
+    /// Last decision's per-job MPC inputs, overwritten in place each
+    /// decision so the per-job `free_response` buffers are reused.
+    job_states: Vec<MpcJobState>,
     dither_frac: f64,
     group_threshold: usize,
     max_groups: usize,
@@ -99,6 +102,7 @@ impl PerqPolicy {
             target_gen: TargetGenerator::new(config.improvement_ratio),
             adapters: HashMap::new(),
             prev_traj: HashMap::new(),
+            job_states: Vec::new(),
             dither_frac: config.dither_frac,
             group_threshold: config.group_threshold,
             max_groups: config.max_groups,
@@ -235,9 +239,12 @@ impl PowerPolicy for PerqPolicy {
                                          // so in aggregate only a first-visit phase peak can overshoot its
                                          // charge; 2% of the budget absorbs that transient.
         const RESERVE_FRAC: f64 = 0.02;
-        let mut charged_flags = Vec::with_capacity(ctx.jobs.len());
+
+        // 4. Per-job MPC state, built in the same pass (one adapter probe
+        //    per job) over the buffers of the previous decision.
+        self.job_states.truncate(ctx.jobs.len());
         let mut slack_charge_nodes = 0.0;
-        for job in ctx.jobs {
+        for (i, (job, &target)) in ctx.jobs.iter().zip(&targets.job_targets).enumerate() {
             let cap_frac = (job.current_cap_w / cap_max).clamp(0.0, 1.0);
             let adapter = &self.adapters[&job.id];
             let demand = adapter.demand_frac();
@@ -250,34 +257,33 @@ impl PowerPolicy for PerqPolicy {
                 let d = demand.expect("slack implies known demand");
                 slack_charge_nodes += job.size as f64 * (d + CHARGE_MARGIN);
             }
-            charged_flags.push(!slack);
+            let mut free_response = self
+                .job_states
+                .get_mut(i)
+                .map(|prev| std::mem::take(&mut prev.free_response))
+                .unwrap_or_default();
+            self.controller
+                .free_response_into(&self.model, adapter.state(), &mut free_response);
+            let state = MpcJobState {
+                size: job.size,
+                target,
+                current_cap_frac: cap_frac,
+                gain: adapter.gain(),
+                free_response,
+                curve_value: self.model.curve.eval(cap_frac),
+                curve_slope: self.model.curve.secant_slope(cap_frac, 0.10),
+                bias: adapter.bias(),
+                charged: !slack,
+            };
+            match self.job_states.get_mut(i) {
+                Some(prev) => *prev = state,
+                None => self.job_states.push(state),
+            }
         }
+        let job_states = &self.job_states;
         let budget_nodes = ctx.busy_budget_w * (1.0 - RESERVE_FRAC) / cap_max - slack_charge_nodes;
-
-        // 4. MPC decision.
-        let job_states: Vec<MpcJobState> = ctx
-            .jobs
-            .iter()
-            .zip(targets.job_targets.iter())
-            .zip(charged_flags.iter())
-            .map(|((job, &target), &charged)| {
-                let adapter = &self.adapters[&job.id];
-                let cap_frac = (job.current_cap_w / cap_max).clamp(0.0, 1.0);
-                MpcJobState {
-                    size: job.size,
-                    target,
-                    current_cap_frac: cap_frac,
-                    gain: adapter.gain(),
-                    free_response: self.controller.free_response(&self.model, adapter.state()),
-                    curve_value: self.model.curve.eval(cap_frac),
-                    curve_slope: self.model.curve.secant_slope(cap_frac, 0.10),
-                    bias: adapter.bias(),
-                    charged,
-                }
-            })
-            .collect();
         let input = MpcInput {
-            jobs: &job_states,
+            jobs: job_states,
             system_target: targets.system_target,
             budget_nodes,
             cap_min_frac: ctx.cap_min_w / cap_max,
@@ -336,18 +342,14 @@ impl PowerPolicy for PerqPolicy {
                 };
                 *cap += sign * self.dither_frac;
             }
-            let coeffs: Vec<f64> = ctx
-                .jobs
+            let coeffs: Vec<f64> = job_states
                 .iter()
-                .zip(charged_flags.iter())
-                .map(|(j, &charged)| if charged { j.size as f64 } else { 0.0 })
+                .map(|j| if j.charged { j.size as f64 } else { 0.0 })
                 .collect();
-            let min_commit: f64 = ctx
-                .jobs
+            let min_commit: f64 = job_states
                 .iter()
-                .zip(charged_flags.iter())
-                .filter(|(_, &charged)| charged)
-                .map(|(j, _)| j.size as f64 * ctx.cap_min_w / cap_max)
+                .filter(|j| j.charged)
+                .map(|j| j.size as f64 * ctx.cap_min_w / cap_max)
                 .sum();
             let budget = perq_qp::Budget {
                 coeffs,

@@ -11,7 +11,9 @@
 
 use perq_core::{
     train_node_model, JobAdapter, MpcController, MpcInput, MpcJobState, MpcSettings, NodeModel,
+    PerqConfig, PerqPolicy,
 };
+use perq_sim::{JobView, PolicyContext, PowerPolicy};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -110,6 +112,76 @@ fn one_controller_survives_a_scripted_shrink_and_regrow() {
     for n in [8, 3, 12, 1, 12] {
         let jobs = mk(n);
         decide_and_check(&jobs, budget_for(&jobs));
+    }
+}
+
+#[test]
+fn a_long_lived_policy_decides_like_a_fresh_one_as_its_job_list_shrinks_and_regrows() {
+    // `PerqPolicy` keeps its per-job MPC inputs, `free_response` buffers
+    // included, from one decision to the next and overwrites them in
+    // place. The job list shrinks, regrows and changes which job sits
+    // at which index; a twin built fresh for every decision has nothing
+    // to reuse, so any stale entry or stale tail shows up as a cap that
+    // differs from the twin's.
+    //
+    // The policy is made history-free in every other respect: nothing is
+    // measured and every job's cap is held, so an adapter is what a new
+    // arrival's would be; no dither (its sign follows the decision
+    // count); always the grouped path (it never takes the previous
+    // trajectory as a warm start); and consecutive decisions differ in
+    // QP dimension, so the solver's spectral cache starts cold each time.
+    let (model, _) = stack();
+    let config = PerqConfig {
+        dither_frac: 0.0,
+        group_threshold: 0,
+        max_groups: 4,
+        ..PerqConfig::default()
+    };
+    let cap_max = 290.0;
+    let mut lived = PerqPolicy::with_model(model.clone(), config.clone());
+    for (tick, n) in [8usize, 3, 12, 1, 12, 2, 9].into_iter().enumerate() {
+        let jobs: Vec<JobView> = (0..n as u64)
+            .map(|k| {
+                // Ids rotate, so index `k` holds another job every tick.
+                let id = (k + 5 * tick as u64) % 13;
+                JobView {
+                    id,
+                    size: 1 + (id % 4) as usize,
+                    elapsed_s: tick as f64 * 10.0,
+                    measured_ips: None,
+                    current_cap_w: cap_max * (0.4 + 0.045 * id as f64),
+                    measured_power_w: None,
+                    remaining_node_hours: 5.0,
+                    is_new: false,
+                }
+            })
+            .collect();
+        let nodes: usize = jobs.iter().map(|j| j.size).sum();
+        let ctx = PolicyContext {
+            time_s: tick as f64 * 10.0,
+            interval_s: 10.0,
+            busy_budget_w: 0.6 * cap_max * nodes as f64,
+            cap_min_w: 90.0,
+            cap_max_w: cap_max,
+            total_nodes: nodes,
+            wp_nodes: nodes,
+            queue_depth: 0,
+            violation_s: 0.0,
+            jobs: &jobs,
+        };
+        let by_lived = lived.assign(&ctx);
+        let by_fresh = PerqPolicy::with_model(model.clone(), config.clone()).assign(&ctx);
+        assert_eq!(by_lived.len(), n, "tick {tick}");
+        assert_eq!(lived.tracked_jobs(), n, "tick {tick}");
+        for (k, (a, b)) in by_lived.iter().zip(&by_fresh).enumerate() {
+            assert_eq!(
+                a.cap_w.to_bits(),
+                b.cap_w.to_bits(),
+                "tick {tick} job {k}: {} vs {}",
+                a.cap_w,
+                b.cap_w
+            );
+        }
     }
 }
 

@@ -44,6 +44,21 @@ impl std::fmt::Display for ConnError {
     }
 }
 
+/// Control state of a registered worker, kept on the connection that
+/// registered it.
+#[derive(Debug)]
+pub(crate) struct NodeState {
+    pub(crate) node_id: u32,
+    pub(crate) job_id: u64,
+    pub(crate) cap_w: f64,
+    pub(crate) last_ips: Option<f64>,
+    pub(crate) last_power_w: Option<f64>,
+    /// A report arrived since the last tick (the batch flag).
+    pub(crate) batched: bool,
+    pub(crate) last_report_tick: u64,
+    pub(crate) first_tick: u64,
+}
+
 /// Index entry for one frame in the outbound byte buffer.
 #[derive(Debug)]
 struct Queued {
@@ -63,8 +78,8 @@ pub struct WorkerConn<Io> {
     pub io: Io,
     /// Poller token.
     pub token: usize,
-    /// Node id learned from the registration report.
-    pub node_id: Option<u32>,
+    /// Set by the registration report.
+    pub(crate) node: Option<NodeState>,
     /// Server tick at which the connection was adopted (drives the
     /// registration deadline for peers whose first report never arrives).
     pub attached_tick: u64,
@@ -90,7 +105,7 @@ impl<Io: Read + Write> WorkerConn<Io> {
         WorkerConn {
             io,
             token,
-            node_id: None,
+            node: None,
             attached_tick: 0,
             decoder: FrameDecoder::new(),
             encoder: FrameEncoder::new(),
@@ -138,28 +153,28 @@ impl<Io: Read + Write> WorkerConn<Io> {
         }
     }
 
-    /// Encodes and queues a frame without writing; [`WorkerConn::flush`]
+    /// Encodes a frame and queues it ([`WorkerConn::queue_encoded`]).
+    pub fn queue<T: Serialize>(&mut self, value: &T, class: FrameClass) -> Result<(), ConnError> {
+        let frame = self.encoder.encode(value).map_err(ConnError::Frame)?;
+        self.queue_encoded(&frame, class)
+    }
+
+    /// Queues one encoded frame without writing; [`WorkerConn::flush`]
     /// sends everything queued in one `write`.
     ///
     /// [`ConnError::Overflow`] is only possible for
     /// [`FrameClass::Decision`], and only once a flush has failed to make
     /// room; an unqueueable coalescible frame is silently superseded by
     /// whatever is already queued.
-    pub fn queue<T: Serialize>(&mut self, value: &T, class: FrameClass) -> Result<(), ConnError> {
-        let tail = self.out.len();
-        self.encoder
-            .encode_into(value, &mut self.out)
-            .map_err(ConnError::Frame)?;
-        let len = self.out.len() - tail;
+    pub fn queue_encoded(&mut self, frame: &[u8], class: FrameClass) -> Result<(), ConnError> {
+        let len = frame.len();
         if matches!(class, FrameClass::Coalesce { .. }) {
             // Replace a wholly unsent frame with the same key in place.
             let mut start = self.sent - self.head_sent;
             for (i, slot) in self.index.iter_mut().enumerate() {
                 if slot.class == class && (i > 0 || self.head_sent == 0) {
-                    // [old, later frames, new] -> [new, old, later frames],
-                    // then cut `old` out.
-                    self.out[start..].rotate_right(len);
-                    self.out.drain(start + len..start + len + slot.len);
+                    self.out
+                        .splice(start..start + slot.len, frame.iter().copied());
                     slot.len = len;
                     self.coalesced += 1;
                     return Ok(());
@@ -167,10 +182,9 @@ impl<Io: Read + Write> WorkerConn<Io> {
                 start += slot.len;
             }
         }
-        if tail - self.sent + len > self.max_queued_bytes {
+        if self.queued_bytes() + len > self.max_queued_bytes {
             // Frames queued since the last flush have not been offered to
             // the transport yet; do that before giving up on the bound.
-            let frame = self.out.split_off(tail);
             self.flush().map_err(ConnError::Io)?;
             if self.queued_bytes() + len > self.max_queued_bytes {
                 return match class {
@@ -183,8 +197,8 @@ impl<Io: Read + Write> WorkerConn<Io> {
                     }
                 };
             }
-            self.out.extend_from_slice(&frame);
         }
+        self.out.extend_from_slice(frame);
         self.index.push_back(Queued { len, class });
         Ok(())
     }

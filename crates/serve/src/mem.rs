@@ -15,7 +15,7 @@
 
 use crate::poller::{PollEvent, Poller};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::rc::Rc;
 use std::time::Duration;
@@ -138,8 +138,8 @@ impl Write for MemIo {
 
 /// Deterministic poller over [`MemIo`] ends.
 pub struct MemPoller {
-    registry: BTreeMap<usize, MemIo>,
-    write_interest: BTreeSet<usize>,
+    /// Each registered end with its write-interest flag.
+    registry: BTreeMap<usize, (MemIo, bool)>,
     batch: usize,
     cursor: usize,
 }
@@ -151,18 +151,16 @@ impl MemPoller {
     pub fn new(batch: usize) -> Self {
         MemPoller {
             registry: BTreeMap::new(),
-            write_interest: BTreeSet::new(),
             batch,
             cursor: 0,
         }
     }
 
-    fn readiness(&self, token: usize, io: &MemIo) -> Option<PollEvent> {
+    fn readiness(token: usize, io: &MemIo, write_interest: bool) -> Option<PollEvent> {
         let rx = io.rx.borrow();
         let tx = io.tx.borrow();
         let readable = !rx.data.is_empty() || rx.closed;
-        let writable =
-            self.write_interest.contains(&token) && (tx.cap > tx.data.len() || tx.closed);
+        let writable = write_interest && (tx.cap > tx.data.len() || tx.closed);
         let hangup = rx.closed && rx.data.is_empty();
         if readable || writable || hangup {
             Some(PollEvent {
@@ -181,7 +179,7 @@ impl Poller for MemPoller {
     type Io = MemIo;
 
     fn register(&mut self, io: &Self::Io, token: usize) -> io::Result<()> {
-        if self.registry.insert(token, io.clone()).is_some() {
+        if self.registry.insert(token, (io.clone(), false)).is_some() {
             return Err(io::Error::new(
                 io::ErrorKind::AlreadyExists,
                 "token already registered",
@@ -191,30 +189,27 @@ impl Poller for MemPoller {
     }
 
     fn set_write_interest(&mut self, _io: &Self::Io, token: usize, on: bool) -> io::Result<()> {
-        if !self.registry.contains_key(&token) {
-            return Err(io::Error::new(
+        match self.registry.get_mut(&token) {
+            Some((_, write_interest)) => {
+                *write_interest = on;
+                Ok(())
+            }
+            None => Err(io::Error::new(
                 io::ErrorKind::NotFound,
                 "unregistered token",
-            ));
+            )),
         }
-        if on {
-            self.write_interest.insert(token);
-        } else {
-            self.write_interest.remove(&token);
-        }
-        Ok(())
     }
 
     fn deregister(&mut self, io: &Self::Io, token: usize) -> io::Result<()> {
         match self.registry.get(&token) {
-            Some(reg) if reg.same_pipe(io) => {
+            Some((reg, _)) if reg.same_pipe(io) => {
                 // The server deregisters exactly when it is about to drop
                 // the transport; for TCP that closes the socket, so the
                 // in-memory pipe closes here to match (the peer drains
                 // buffered data, then reads EOF).
                 io.close();
                 self.registry.remove(&token);
-                self.write_interest.remove(&token);
                 Ok(())
             }
             _ => Err(io::Error::new(io::ErrorKind::NotFound, "unregistered io")),
@@ -232,11 +227,11 @@ impl Poller for MemPoller {
         // a small batch size cannot starve high-numbered tokens.
         let after = self.registry.range(self.cursor + 1..);
         let wrapped = self.registry.range(..=self.cursor);
-        for (&token, io) in after.chain(wrapped) {
+        for (&token, (io, write_interest)) in after.chain(wrapped) {
             if out.len() >= limit {
                 break;
             }
-            out.extend(self.readiness(token, io));
+            out.extend(Self::readiness(token, io, *write_interest));
         }
         if let Some(last) = out.last() {
             self.cursor = last.token;

@@ -8,16 +8,18 @@
 //! the next tick's shares are computed over the survivors, which *is* the
 //! budget reallocation (no special-case code).
 
-use crate::conn::{ConnError, FrameClass, WorkerConn};
+use crate::conn::{ConnError, FrameClass, NodeState, WorkerConn};
 use crate::http::{response, text_response, HttpParser, HttpRequest};
 use crate::poller::{PollEvent, Poller};
 use perq_apps::{IDLE_WATTS, TDP_WATTS};
 use perq_core::{PerqConfig, PerqPolicy};
-use perq_proto::{Command, Report};
+use perq_proto::{Command, FrameEncoder, Report};
 use perq_sim::{FairPolicy, JobView, PolicyContext, PowerPolicy};
 use perq_telemetry::{FieldValue, Recorder};
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Lowest admissible per-node cap, watts (mirrors the prototype).
@@ -97,19 +99,6 @@ pub struct PumpOutcome {
     pub unclaimed: Vec<PollEvent>,
 }
 
-#[derive(Debug)]
-struct NodeState {
-    token: usize,
-    job_id: u64,
-    cap_w: f64,
-    last_ips: Option<f64>,
-    last_power_w: Option<f64>,
-    /// A report arrived since the last tick (the batch flag).
-    batched: bool,
-    last_report_tick: u64,
-    first_tick: u64,
-}
-
 struct HttpConn<Io> {
     io: Io,
     parser: HttpParser,
@@ -118,15 +107,134 @@ struct HttpConn<Io> {
     responding: bool,
 }
 
+/// Tokens below this are left to the runtime's listeners.
+const TOKEN_BASE: usize = 16;
+
+enum Slot<Io> {
+    Free,
+    Worker(WorkerConn<Io>),
+    Http(HttpConn<Io>),
+}
+
+/// Every connection the server owns, in a slab indexed by the poller
+/// token it issued (`TOKEN_BASE + slot`), so an event finds its
+/// connection without a search. A closed connection's slot goes on the
+/// free list and the next attach takes it: reconnect churn cannot grow
+/// the slab past the peak number of open connections. Tokens come from
+/// here only, never from anything a peer sent.
+struct Conns<Io> {
+    slots: Vec<Slot<Io>>,
+    free: Vec<usize>,
+}
+
+impl<Io> Conns<Io> {
+    /// The token the next [`Conns::occupy`] will issue.
+    fn vacant(&self) -> usize {
+        TOKEN_BASE + self.free.last().copied().unwrap_or(self.slots.len())
+    }
+
+    /// Stores a connection under the [`Conns::vacant`] token.
+    fn occupy(&mut self, conn: Slot<Io>) {
+        match self.free.pop() {
+            Some(i) => self.slots[i] = conn,
+            None => self.slots.push(conn),
+        }
+    }
+
+    fn slot_mut(&mut self, token: usize) -> Option<&mut Slot<Io>> {
+        self.slots.get_mut(token.checked_sub(TOKEN_BASE)?)
+    }
+
+    fn worker_mut(&mut self, token: usize) -> Option<&mut WorkerConn<Io>> {
+        match self.slot_mut(token)? {
+            Slot::Worker(conn) => Some(conn),
+            _ => None,
+        }
+    }
+
+    fn http_mut(&mut self, token: usize) -> Option<&mut HttpConn<Io>> {
+        match self.slot_mut(token)? {
+            Slot::Http(conn) => Some(conn),
+            _ => None,
+        }
+    }
+
+    /// Empties an occupied slot and frees its token for reuse.
+    fn vacate(&mut self, token: usize) -> Slot<Io> {
+        self.free.push(token - TOKEN_BASE);
+        std::mem::replace(&mut self.slots[token - TOKEN_BASE], Slot::Free)
+    }
+
+    fn take_worker(&mut self, token: usize) -> Option<WorkerConn<Io>> {
+        self.worker_mut(token)?;
+        match self.vacate(token) {
+            Slot::Worker(conn) => Some(conn),
+            _ => None,
+        }
+    }
+
+    fn take_http(&mut self, token: usize) -> Option<HttpConn<Io>> {
+        self.http_mut(token)?;
+        match self.vacate(token) {
+            Slot::Http(conn) => Some(conn),
+            _ => None,
+        }
+    }
+
+    /// Worker connections in token order.
+    fn workers(&self) -> impl Iterator<Item = &WorkerConn<Io>> {
+        self.slots.iter().filter_map(|slot| match slot {
+            Slot::Worker(conn) => Some(conn),
+            _ => None,
+        })
+    }
+}
+
+/// The `SetCap` frames of one tick, each distinct cap encoded once.
+///
+/// The memo is keyed by the cap's bit pattern, not its value: `0.0` and
+/// `-0.0` compare equal and encode differently, and a NaN equals nothing,
+/// itself included.
+#[derive(Default)]
+struct CapFrames {
+    arena: Vec<u8>,
+    memo: HashMap<u64, Range<usize>>,
+}
+
+impl CapFrames {
+    fn clear(&mut self) {
+        self.arena.clear();
+        self.memo.clear();
+    }
+
+    /// The encoded `SetCap { cap_w }` frame.
+    fn frame(&mut self, cap_w: f64) -> Result<&[u8], ConnError> {
+        let arena = &mut self.arena;
+        let range = match self.memo.entry(cap_w.to_bits()) {
+            Entry::Occupied(hit) => hit.get().clone(),
+            Entry::Vacant(miss) => {
+                let start = arena.len();
+                FrameEncoder::new()
+                    .encode_into(&Command::SetCap { cap_w }, arena)
+                    .map_err(ConnError::Frame)?;
+                miss.insert(start..arena.len()).clone()
+            }
+        };
+        Ok(&self.arena[range])
+    }
+}
+
 /// The event-loop server, generic over the readiness backend.
 pub struct Server<P: Poller> {
     poller: P,
     cfg: ServeConfig,
     policy: Box<dyn PowerPolicy>,
-    conns: BTreeMap<usize, WorkerConn<P::Io>>,
-    https: BTreeMap<usize, HttpConn<P::Io>>,
-    nodes: BTreeMap<u32, NodeState>,
-    next_token: usize,
+    conns: Conns<P::Io>,
+    /// Live nodes in id order — the order of the policy's job list, and
+    /// so of caps and exports — each with its connection's token. An
+    /// entry exists exactly while that connection holds the node's
+    /// [`NodeState`], which is what makes a reused token unambiguous.
+    nodes: BTreeMap<u32, usize>,
     ticks: u64,
     budget_w: f64,
     /// Deterministic, logical-time telemetry (what `/metrics` serves).
@@ -138,6 +246,11 @@ pub struct Server<P: Poller> {
     /// decoded reports.
     events: Vec<PollEvent>,
     reports: Vec<Report>,
+    /// Reused across ticks: the policy's job list.
+    views: Vec<JobView>,
+    /// The encoded `Tick`, the same for every worker and every tick.
+    tick_frame: Vec<u8>,
+    cap_frames: CapFrames,
 }
 
 /// Inbound traffic of one [`Server::pump`], added to the recorder once
@@ -173,10 +286,11 @@ impl<P: Poller> Server<P> {
             poller,
             cfg,
             policy,
-            conns: BTreeMap::new(),
-            https: BTreeMap::new(),
+            conns: Conns {
+                slots: Vec::new(),
+                free: Vec::new(),
+            },
             nodes: BTreeMap::new(),
-            next_token: 16, // low tokens reserved for runtime listeners
             ticks: 0,
             budget_w,
             rec,
@@ -184,6 +298,11 @@ impl<P: Poller> Server<P> {
             scratch: vec![0u8; 16 * 1024],
             events: Vec::new(),
             reports: Vec::new(),
+            views: Vec::new(),
+            tick_frame: FrameEncoder::new()
+                .encode(&Command::Tick)
+                .expect("a unit variant encodes"),
+            cap_frames: CapFrames::default(),
         }
     }
 
@@ -224,30 +343,25 @@ impl<P: Poller> Server<P> {
 
     /// Adopts an established worker transport into the event loop.
     pub fn attach_worker(&mut self, io: P::Io) -> io::Result<usize> {
-        let token = self.next_token;
-        self.next_token += 1;
+        let token = self.conns.vacant();
         self.poller.register(&io, token)?;
         let mut conn = WorkerConn::new(io, token, self.cfg.max_queued_bytes);
         conn.attached_tick = self.ticks;
-        self.conns.insert(token, conn);
+        self.conns.occupy(Slot::Worker(conn));
         Ok(token)
     }
 
     /// Adopts an established HTTP client transport.
     pub fn attach_http(&mut self, io: P::Io) -> io::Result<usize> {
-        let token = self.next_token;
-        self.next_token += 1;
+        let token = self.conns.vacant();
         self.poller.register(&io, token)?;
-        self.https.insert(
-            token,
-            HttpConn {
-                io,
-                parser: HttpParser::new(),
-                out: Vec::new(),
-                sent: 0,
-                responding: false,
-            },
-        );
+        self.conns.occupy(Slot::Http(HttpConn {
+            io,
+            parser: HttpParser::new(),
+            out: Vec::new(),
+            sent: 0,
+            responding: false,
+        }));
         Ok(token)
     }
 
@@ -266,7 +380,7 @@ impl<P: Poller> Server<P> {
         for &ev in &events {
             if self.worker_event(ev, &mut inbound) {
                 outcome.handled += 1;
-            } else if self.https.contains_key(&ev.token) {
+            } else if self.conns.http_mut(ev.token).is_some() {
                 self.http_event(ev);
                 outcome.handled += 1;
             } else {
@@ -290,16 +404,15 @@ impl<P: Poller> Server<P> {
     /// Services one ready worker connection; `false` if the token is not
     /// a worker's.
     fn worker_event(&mut self, ev: PollEvent, inbound: &mut Inbound) -> bool {
-        let Some(conn) = self.conns.get_mut(&ev.token) else {
+        let Some(conn) = self.conns.worker_mut(ev.token) else {
             return false;
         };
         if ev.readable || ev.hangup {
             let mut reports = std::mem::take(&mut self.reports);
             reports.clear();
             let read = conn.read_ready(&mut self.scratch, &mut reports);
-            let node_id = conn.node_id;
             // Frames completed before an EOF or a corrupt frame still count.
-            let alive = self.on_reports(ev.token, node_id, &reports, inbound);
+            let alive = self.on_reports(ev.token, &reports, inbound);
             self.reports = reports;
             if !alive {
                 return true; // written off mid-batch
@@ -323,47 +436,42 @@ impl<P: Poller> Server<P> {
     }
 
     /// Handles the reports one connection delivered in one read; returns
-    /// `false` if the connection died. `node_id` is the connection's
-    /// registration, if it has one.
-    fn on_reports(
-        &mut self,
-        token: usize,
-        node_id: Option<u32>,
-        reports: &[Report],
-        inbound: &mut Inbound,
-    ) -> bool {
+    /// `false` if the connection died.
+    fn on_reports(&mut self, token: usize, reports: &[Report], inbound: &mut Inbound) -> bool {
         let mut reports = reports.iter();
-        let node_id = match node_id {
-            Some(id) => id,
-            None => {
-                // The first report on a connection is its registration.
-                let Some(first) = reports.next() else {
-                    return true;
-                };
-                inbound.frames += 1;
-                if !self.register_worker(token, first) {
-                    return false;
-                }
-                first.node_id
+        let registered = matches!(self.conns.worker_mut(token), Some(c) if c.node.is_some());
+        if !registered {
+            // The first report on a connection is its registration.
+            let Some(first) = reports.next() else {
+                return true;
+            };
+            inbound.frames += 1;
+            if !self.register_worker(token, first) {
+                return false;
             }
+        }
+        let Some(n) = self
+            .conns
+            .worker_mut(token)
+            .and_then(|conn| conn.node.as_mut())
+        else {
+            return false;
         };
         for report in reports {
             inbound.frames += 1;
-            if report.node_id != node_id {
+            if report.node_id != n.node_id {
                 self.write_off(token, "node-id-mismatch");
                 return false;
             }
-            if let Some(n) = self.nodes.get_mut(&node_id) {
-                if n.batched {
-                    // A delayed report from an earlier interval was superseded.
-                    self.engine
-                        .counter_inc("perq_serve_reports_superseded_total");
-                }
-                n.last_ips = Some(report.ips);
-                n.last_power_w = Some(report.power_w);
-                n.batched = true;
-                n.last_report_tick = self.ticks;
+            if n.batched {
+                // A delayed report from an earlier interval was superseded.
+                self.engine
+                    .counter_inc("perq_serve_reports_superseded_total");
             }
+            n.last_ips = Some(report.ips);
+            n.last_power_w = Some(report.power_w);
+            n.batched = true;
+            n.last_report_tick = self.ticks;
             inbound.reports += 1;
         }
         true
@@ -372,25 +480,23 @@ impl<P: Poller> Server<P> {
     fn register_worker(&mut self, token: usize, report: &Report) -> bool {
         let node_id = report.node_id;
         // A reconnecting node supersedes its stale session.
-        if let Some(stale) = self.nodes.get(&node_id).map(|n| n.token) {
+        if let Some(&stale) = self.nodes.get(&node_id) {
             self.write_off(stale, "superseded");
         }
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.node_id = Some(node_id);
-        }
-        self.nodes.insert(
+        let Some(conn) = self.conns.worker_mut(token) else {
+            return false;
+        };
+        conn.node = Some(NodeState {
             node_id,
-            NodeState {
-                token,
-                job_id: u64::from(node_id) + 1,
-                cap_w: TDP_WATTS,
-                last_ips: None,
-                last_power_w: None,
-                batched: false,
-                last_report_tick: self.ticks,
-                first_tick: self.ticks,
-            },
-        );
+            job_id: u64::from(node_id) + 1,
+            cap_w: TDP_WATTS,
+            last_ips: None,
+            last_power_w: None,
+            batched: false,
+            last_report_tick: self.ticks,
+            first_tick: self.ticks,
+        });
+        self.nodes.insert(node_id, token);
         self.rec.counter_inc("perq_serve_workers_registered_total");
         self.rec.event(
             "perq_serve_register",
@@ -411,7 +517,7 @@ impl<P: Poller> Server<P> {
     /// interest or writing the connection off as needed. Returns `false`
     /// if the connection died.
     fn send_to(&mut self, token: usize, cmd: &Command, class: FrameClass) -> bool {
-        let Some(conn) = self.conns.get_mut(&token) else {
+        let Some(conn) = self.conns.worker_mut(token) else {
             return false;
         };
         match conn.push(cmd, class) {
@@ -438,7 +544,7 @@ impl<P: Poller> Server<P> {
     }
 
     fn flush_worker(&mut self, token: usize) {
-        let Some(conn) = self.conns.get_mut(&token) else {
+        let Some(conn) = self.conns.worker_mut(token) else {
             return;
         };
         match conn.flush() {
@@ -457,28 +563,21 @@ impl<P: Poller> Server<P> {
     /// Removes a worker connection and its node state. The freed budget
     /// share flows to the survivors on the next tick automatically.
     fn write_off(&mut self, token: usize, reason: &'static str) {
-        let conn = match self.conns.remove(&token) {
-            Some(c) => c,
-            None => return,
+        let Some(conn) = self.conns.take_worker(token) else {
+            return;
         };
         let _ = self.poller.deregister(&conn.io, token);
         self.engine
             .counter_add("perq_serve_caps_coalesced_total", conn.coalesced);
-        if let Some(node_id) = conn.node_id {
-            if let Some(n) = self.nodes.get(&node_id) {
-                // Only drop state that still belongs to this connection —
-                // a reconnect may have already superseded it.
-                if n.token == token {
-                    let job_id = n.job_id;
-                    self.nodes.remove(&node_id);
-                    self.policy.job_departed(job_id);
-                }
-            }
+        if let Some(n) = conn.node {
+            let indexed = self.nodes.remove(&n.node_id);
+            debug_assert_eq!(indexed, Some(token), "node index out of step");
+            self.policy.job_departed(n.job_id);
             self.rec.counter_inc("perq_serve_writeoffs_total");
             self.rec.event(
                 "perq_serve_writeoff",
                 &[
-                    ("node", FieldValue::U64(u64::from(node_id))),
+                    ("node", FieldValue::U64(u64::from(n.node_id))),
                     ("tick", FieldValue::U64(self.ticks)),
                     ("reason", FieldValue::Str(reason)),
                 ],
@@ -494,37 +593,22 @@ impl<P: Poller> Server<P> {
         let tick_start = Instant::now();
         self.rec.set_time_s(self.ticks as f64 * self.cfg.interval_s);
 
-        // Heartbeat: write off workers silent for too many ticks, and
-        // connections that never completed registration (their first
-        // report was lost) within the same window.
-        let dead: Vec<usize> = self
-            .nodes
-            .values()
-            .filter(|n| self.ticks - n.last_report_tick >= self.cfg.heartbeat_ticks)
-            .map(|n| n.token)
-            .collect();
-        for token in dead {
-            self.write_off(token, "heartbeat");
-        }
-        let unregistered: Vec<usize> = self
-            .conns
-            .values()
-            .filter(|c| {
-                c.node_id.is_none() && self.ticks - c.attached_tick >= self.cfg.heartbeat_ticks
-            })
-            .map(|c| c.token)
-            .collect();
-        for token in unregistered {
-            self.write_off(token, "registration-timeout");
-        }
-
-        // Batch the interval's readings into one policy context: one
-        // size-1 service job per live node, latest report wins, lost
-        // reports surface as `None` measurements.
-        let views: Vec<JobView> = self
-            .nodes
-            .values()
-            .map(|n| JobView {
+        // One walk over the live nodes, in id order: workers silent for
+        // too many ticks are set aside for write-off, every other node's
+        // interval of readings becomes its size-1 service job's view —
+        // latest report wins, lost reports surface as `None` measurements.
+        let mut views = std::mem::take(&mut self.views);
+        views.clear();
+        let mut dead: Vec<usize> = Vec::new();
+        for &token in self.nodes.values() {
+            let Some(n) = self.conns.worker_mut(token).and_then(|c| c.node.as_ref()) else {
+                continue;
+            };
+            if self.ticks - n.last_report_tick >= self.cfg.heartbeat_ticks {
+                dead.push(token);
+                continue;
+            }
+            views.push(JobView {
                 id: n.job_id,
                 size: 1,
                 elapsed_s: (self.ticks - n.first_tick) as f64 * self.cfg.interval_s,
@@ -533,8 +617,24 @@ impl<P: Poller> Server<P> {
                 measured_power_w: if n.batched { n.last_power_w } else { None },
                 remaining_node_hours: 1e9,
                 is_new: self.ticks == n.first_tick,
+            });
+        }
+        for token in dead {
+            self.write_off(token, "heartbeat");
+        }
+        // Connections that never completed registration (their first
+        // report was lost) are written off within the same window.
+        let unregistered: Vec<usize> = self
+            .conns
+            .workers()
+            .filter(|c| {
+                c.node.is_none() && self.ticks - c.attached_tick >= self.cfg.heartbeat_ticks
             })
+            .map(|c| c.token)
             .collect();
+        for token in unregistered {
+            self.write_off(token, "registration-timeout");
+        }
 
         if !views.is_empty() {
             let ctx = PolicyContext {
@@ -573,46 +673,52 @@ impl<P: Poller> Server<P> {
                 .observe(latency_metric, decide_elapsed.as_secs_f64() * 1e3);
             self.policy.set_decide_deadline(None);
 
-            let caps: Vec<f64> = if assignments.len() == views.len() {
-                assignments
-                    .iter()
-                    .map(|a| a.cap_w.clamp(MIN_CAP_WATTS, TDP_WATTS))
-                    .collect()
-            } else {
-                // Defensive: a policy that broke its contract falls back
-                // to the fair share rather than taking the loop down.
+            // Defensive: a policy that broke its contract falls back to
+            // the fair share rather than taking the loop down.
+            let kept_contract = assignments.len() == views.len();
+            if !kept_contract {
                 self.rec.counter_inc("perq_serve_policy_len_mismatch_total");
-                vec![fair; views.len()]
-            };
+            }
 
             // Fan out: per worker, queue `SetCap` (if the cap moved) and
             // `Tick`, then send both in one write. Failed sends are
             // written off after the pass, in node order.
+            self.cap_frames.clear();
             let mut setcaps = 0u64;
             let mut failed: Vec<(usize, ConnError)> = Vec::new();
-            for ((&node_id, n), &cap) in self.nodes.iter_mut().zip(caps.iter()) {
-                let Some(conn) = self.conns.get_mut(&n.token) else {
+            for (i, (&node_id, &token)) in self.nodes.iter().enumerate() {
+                let Some(conn) = self.conns.worker_mut(token) else {
                     continue;
                 };
-                let changed = (cap - n.cap_w).abs() > 1e-9;
+                let cap = if kept_contract {
+                    assignments[i].cap_w.clamp(MIN_CAP_WATTS, TDP_WATTS)
+                } else {
+                    fair
+                };
+                let Some(held) = conn.node.as_ref().map(|n| n.cap_w) else {
+                    continue;
+                };
+                let changed = (cap - held).abs() > 1e-9;
                 let sent = (|| {
                     if changed {
-                        conn.queue(
-                            &Command::SetCap { cap_w: cap },
+                        conn.queue_encoded(
+                            self.cap_frames.frame(cap)?,
                             FrameClass::Coalesce { key: node_id },
                         )?;
                     }
-                    conn.queue(&Command::Tick, FrameClass::Decision)?;
+                    conn.queue_encoded(&self.tick_frame, FrameClass::Decision)?;
                     conn.flush().map_err(ConnError::Io)
                 })();
                 match sent {
                     Ok(drained) => {
                         Self::set_write_interest(&mut self.poller, conn, !drained);
                         setcaps += u64::from(changed);
-                        n.cap_w = cap;
-                        n.batched = false;
+                        if let Some(n) = &mut conn.node {
+                            n.cap_w = cap;
+                            n.batched = false;
+                        }
                     }
-                    Err(e) => failed.push((n.token, e)),
+                    Err(e) => failed.push((token, e)),
                 }
             }
             for (token, err) in failed {
@@ -620,13 +726,15 @@ impl<P: Poller> Server<P> {
             }
             self.rec.counter_add("perq_serve_setcaps_total", setcaps);
         }
+        self.views = views;
 
-        let power: f64 = self
-            .nodes
-            .values()
-            .map(|n| n.last_power_w.unwrap_or(IDLE_WATTS))
-            .sum();
-        let caps_sum: f64 = self.nodes.values().map(|n| n.cap_w).sum();
+        let (mut power, mut caps_sum) = (0.0, 0.0);
+        for &token in self.nodes.values() {
+            if let Some(n) = self.conns.worker_mut(token).and_then(|c| c.node.as_ref()) {
+                power += n.last_power_w.unwrap_or(IDLE_WATTS);
+                caps_sum += n.cap_w;
+            }
+        }
         self.rec
             .gauge_set("perq_serve_live_nodes", self.nodes.len() as f64);
         self.rec.gauge_set("perq_serve_budget_w", self.budget_w);
@@ -645,7 +753,7 @@ impl<P: Poller> Server<P> {
 
     /// Queues `Shutdown` on every worker and flushes best-effort.
     pub fn shutdown(&mut self) {
-        let tokens: Vec<usize> = self.conns.keys().copied().collect();
+        let tokens: Vec<usize> = self.conns.workers().map(|c| c.token).collect();
         for token in tokens {
             self.send_to(token, &Command::Shutdown, FrameClass::Decision);
         }
@@ -653,7 +761,7 @@ impl<P: Poller> Server<P> {
 
     /// Whether any worker still has unflushed outbound frames.
     pub fn has_backlog(&self) -> bool {
-        self.conns.values().any(|c| c.has_backlog())
+        self.conns.workers().any(|c| c.has_backlog())
     }
 
     fn http_event(&mut self, ev: PollEvent) {
@@ -666,7 +774,7 @@ impl<P: Poller> Server<P> {
         }
         let mut verdict = Verdict::Pending;
         {
-            let conn = self.https.get_mut(&ev.token).expect("checked by pump");
+            let conn = self.conns.http_mut(ev.token).expect("checked by pump");
             if ev.readable || ev.hangup {
                 loop {
                     match conn.io.read(&mut self.scratch) {
@@ -703,14 +811,14 @@ impl<P: Poller> Server<P> {
             }
             Verdict::Request(req) => {
                 let bytes = self.http_response(&req);
-                if let Some(conn) = self.https.get_mut(&ev.token) {
+                if let Some(conn) = self.conns.http_mut(ev.token) {
                     conn.out = bytes;
                     conn.sent = 0;
                     conn.responding = true;
                 }
             }
             Verdict::Bad => {
-                if let Some(conn) = self.https.get_mut(&ev.token) {
+                if let Some(conn) = self.conns.http_mut(ev.token) {
                     conn.out = text_response(400, "Bad Request", "bad request\n");
                     conn.sent = 0;
                     conn.responding = true;
@@ -725,7 +833,7 @@ impl<P: Poller> Server<P> {
         let mut done = false;
         let mut dead = false;
         let mut want = false;
-        if let Some(conn) = self.https.get_mut(&token) {
+        if let Some(conn) = self.conns.http_mut(token) {
             if !conn.responding {
                 return;
             }
@@ -752,14 +860,14 @@ impl<P: Poller> Server<P> {
         if dead || done {
             self.close_http(token);
         } else if want {
-            if let Some(conn) = self.https.get(&token) {
+            if let Some(conn) = self.conns.http_mut(token) {
                 let _ = self.poller.set_write_interest(&conn.io, token, true);
             }
         }
     }
 
     fn close_http(&mut self, token: usize) {
-        if let Some(conn) = self.https.remove(&token) {
+        if let Some(conn) = self.conns.take_http(token) {
             let _ = self.poller.deregister(&conn.io, token);
         }
     }
@@ -843,5 +951,218 @@ impl<P: Poller> Server<P> {
             }
             None => text_response(400, "Bad Request", "unknown policy\n"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mem::{mem_pair, MemIo, MemPoller};
+    use perq_sim::PowerAssignment;
+
+    fn server(policy: Box<dyn PowerPolicy>) -> Server<MemPoller> {
+        let cfg = ServeConfig {
+            heartbeat_ticks: u64::MAX,
+            ..ServeConfig::default()
+        };
+        Server::with_recorders(
+            MemPoller::new(0),
+            cfg,
+            policy,
+            Recorder::manual(),
+            Recorder::noop(),
+        )
+    }
+
+    fn report(node_id: u32) -> Vec<u8> {
+        let report = Report {
+            node_id,
+            job_id: None,
+            ips: 1.0e9,
+            power_w: 120.0,
+            job_done: false,
+        };
+        FrameEncoder::new().encode(&report).unwrap()
+    }
+
+    fn settle(server: &mut Server<MemPoller>) {
+        while server.pump(Some(Duration::ZERO)).unwrap().handled > 0 {}
+    }
+
+    /// Attaches a connection and registers it as `node_id`.
+    fn connect(server: &mut Server<MemPoller>, node_id: u32) -> (usize, MemIo) {
+        let (server_io, mut peer) = mem_pair(64 * 1024);
+        let token = server.attach_worker(server_io).unwrap();
+        peer.write_all(&report(node_id)).unwrap();
+        settle(server);
+        (token, peer)
+    }
+
+    fn drain(peer: &mut MemIo) -> Vec<u8> {
+        let mut bytes = vec![0u8; peer.pending_read()];
+        if !bytes.is_empty() {
+            peer.read_exact(&mut bytes).unwrap();
+        }
+        bytes
+    }
+
+    fn writeoffs(server: &Server<MemPoller>, reason: &str) -> usize {
+        server.recorder().export_jsonl().matches(reason).count()
+    }
+
+    #[test]
+    fn reconnect_churn_reuses_slots() {
+        let mut server = server(make_policy("fop").unwrap());
+        let keepers: Vec<_> = (0..3).map(|id| connect(&mut server, id)).collect();
+        for cycle in 0..10_000u32 {
+            let (_, peer) = connect(&mut server, 100 + cycle % 7);
+            assert_eq!(server.live_nodes(), 4);
+            peer.close();
+            settle(&mut server);
+            assert_eq!(server.live_nodes(), 3);
+        }
+        // Peak live was four connections.
+        assert!(server.conns.slots.len() <= 4 + 1);
+        server.tick();
+        assert_eq!(server.live_nodes(), 3);
+        for (_, mut peer) in keepers {
+            assert!(drain(&mut peer).ends_with(&server.tick_frame));
+        }
+    }
+
+    #[test]
+    fn a_hostile_node_id_costs_one_slot_and_one_index_entry() {
+        let mut server = server(make_policy("fop").unwrap());
+        let (token, mut peer) = connect(&mut server, u32::MAX);
+        assert_eq!((token, server.live_nodes()), (TOKEN_BASE, 1));
+        server.tick();
+        let mut dec = perq_proto::FrameDecoder::new();
+        dec.feed(&drain(&mut peer));
+        let launch: Command = dec.next_frame().unwrap().unwrap();
+        assert!(matches!(launch, Command::Launch { job_id, .. } if job_id == 1 << 32));
+        assert_eq!(dec.next_frame::<Command>().unwrap(), Some(Command::Tick));
+        assert_eq!((server.conns.slots.len(), server.nodes.len()), (1, 1));
+        peer.close();
+        settle(&mut server);
+        assert_eq!((server.live_nodes(), server.nodes.len()), (0, 0));
+        assert_eq!(server.conns.slots.len(), 1);
+        assert_eq!(writeoffs(&server, "peer-gone"), 1);
+    }
+
+    #[test]
+    fn a_reconnect_supersedes_its_stale_session_across_slot_reuse() {
+        let mut server = server(make_policy("fop").unwrap());
+        let (first, mut stale) = connect(&mut server, 7);
+        let (second, other) = connect(&mut server, 8);
+        assert_eq!((first, second), (TOKEN_BASE, TOKEN_BASE + 1));
+        other.close();
+        settle(&mut server);
+
+        // Node 7 comes back on the slot node 8 freed, next to its stale
+        // session; then again, each time onto the slot its previous
+        // session was just superseded out of.
+        for round in 1..=6 {
+            let (token, mut fresh) = connect(&mut server, 7);
+            assert_eq!(token, TOKEN_BASE + round % 2, "round {round}");
+            assert_eq!(writeoffs(&server, "superseded"), round);
+            assert_eq!(server.live_nodes(), 1);
+            assert_eq!(server.nodes.get(&7), Some(&token));
+            assert_eq!(server.conns.slots.len(), 2);
+            // The stale peer was cut off; the fresh one is the node now.
+            assert!(stale.is_closed());
+            fresh.write_all(&report(7)).unwrap();
+            settle(&mut server);
+            assert_eq!(server.live_nodes(), 1);
+            stale = fresh;
+        }
+        assert_eq!(
+            server.recorder().counter_value("perq_serve_reports_total"),
+            6
+        );
+    }
+
+    /// Hands out the scripted caps, one list per tick, by job index.
+    struct Scripted {
+        ticks: std::vec::IntoIter<Vec<f64>>,
+    }
+
+    impl PowerPolicy for Scripted {
+        fn name(&self) -> &str {
+            "scripted"
+        }
+
+        fn assign(&mut self, ctx: &PolicyContext<'_>) -> Vec<PowerAssignment> {
+            let caps = self.ticks.next().expect("a cap list per tick");
+            assert_eq!(caps.len(), ctx.jobs.len());
+            caps.into_iter().map(PowerAssignment::cap).collect()
+        }
+    }
+
+    #[test]
+    fn fan_out_bytes_are_the_per_frame_encoders_in_node_order() {
+        let script = vec![
+            vec![100.0, 100.0, 150.0, 100.0], // duplicates
+            vec![120.0; 4],                   // all equal
+            vec![120.0; 4],                   // nothing moved: Tick only
+            vec![0.0, -0.0, 290.0, 1e9],      // clamped onto two caps
+            vec![151.5, 120.5, 151.5, 120.5],
+        ];
+        let mut server = server(Box::new(Scripted {
+            ticks: script.clone().into_iter(),
+        }));
+        // Attached in descending id order, so token order is not node order.
+        let mut peers: Vec<MemIo> = (0..4u32)
+            .rev()
+            .map(|id| connect(&mut server, id).1)
+            .collect();
+        peers.reverse();
+        for peer in &mut peers {
+            drain(peer); // Launch
+        }
+        let enc = FrameEncoder::new();
+        let mut held = [TDP_WATTS; 4];
+        for caps in script {
+            server.tick();
+            let mut distinct = std::collections::BTreeSet::new();
+            for (i, peer) in peers.iter_mut().enumerate() {
+                let cap = caps[i].clamp(MIN_CAP_WATTS, TDP_WATTS);
+                let mut expected = Vec::new();
+                if (cap - held[i]).abs() > 1e-9 {
+                    enc.encode_into(&Command::SetCap { cap_w: cap }, &mut expected)
+                        .unwrap();
+                    distinct.insert(cap.to_bits());
+                    held[i] = cap;
+                }
+                enc.encode_into(&Command::Tick, &mut expected).unwrap();
+                assert_eq!(drain(peer), expected, "node {i}, caps {caps:?}");
+            }
+            // One frame per distinct cap sent this tick, none kept from the
+            // tick before.
+            let frame_len = enc.encode(&Command::SetCap { cap_w: 151.5 }).unwrap().len();
+            assert_eq!(server.cap_frames.memo.len(), distinct.len());
+            assert!(server.cap_frames.arena.len() <= distinct.len() * frame_len);
+        }
+    }
+
+    #[test]
+    fn cap_frames_are_keyed_by_bit_pattern() {
+        let enc = FrameEncoder::new();
+        let mut frames = CapFrames::default();
+        let mut total = 0;
+        for (cap_w, fresh) in [
+            (0.0, true),
+            (-0.0, true),
+            (0.0, false),
+            (151.5, true),
+            (151.5, false),
+            (-0.0, false),
+        ] {
+            let expected = enc.encode(&Command::SetCap { cap_w }).unwrap();
+            assert_eq!(frames.frame(cap_w).unwrap(), &expected[..], "{cap_w:?}");
+            total += if fresh { expected.len() } else { 0 };
+            assert_eq!(frames.arena.len(), total, "{cap_w:?}");
+        }
+        frames.clear();
+        assert!(frames.arena.is_empty() && frames.memo.is_empty());
     }
 }
