@@ -30,8 +30,8 @@ use crate::mpc::{MpcController, MpcDecision, MpcInput, MpcJobState};
 pub fn group_jobs(jobs: &[MpcJobState], max_groups: usize) -> Vec<Vec<usize>> {
     assert!(max_groups >= 2, "need at least one group per charge class");
     // Each job's sort key is computed once, here, not once per comparison.
-    let mut charged: Vec<((f64, f64), usize)> = Vec::new();
-    let mut slack: Vec<((f64, f64), usize)> = Vec::new();
+    let mut charged: Vec<((f64, f64), usize)> = Vec::with_capacity(jobs.len());
+    let mut slack: Vec<((f64, f64), usize)> = Vec::with_capacity(jobs.len());
     for (i, j) in jobs.iter().enumerate() {
         let key = (
             j.gain * j.curve_slope,

@@ -224,11 +224,10 @@ fn constraints_and_warm(
     } else {
         Vec::new()
     };
-    let warm: Vec<f64> = input
-        .jobs
-        .iter()
-        .flat_map(|jb| std::iter::repeat_n(jb.current_cap_frac, m))
-        .collect();
+    let mut warm = Vec::with_capacity(nv);
+    for jb in input.jobs {
+        warm.extend(std::iter::repeat_n(jb.current_cap_frac, m));
+    }
     (lo, hi, budgets, warm)
 }
 

@@ -74,6 +74,9 @@ pub struct PerqPolicy {
     /// Last decision's per-job MPC inputs, overwritten in place each
     /// decision so the per-job `free_response` buffers are reused.
     job_states: Vec<MpcJobState>,
+    /// The post-dither projection's working copy of the caps, kept
+    /// likewise.
+    projection: perq_qp::ProjectionScratch,
     dither_frac: f64,
     group_threshold: usize,
     max_groups: usize,
@@ -103,6 +106,7 @@ impl PerqPolicy {
             adapters: HashMap::new(),
             prev_traj: HashMap::new(),
             job_states: Vec::new(),
+            projection: perq_qp::ProjectionScratch::default(),
             dither_frac: config.dither_frac,
             group_threshold: config.group_threshold,
             max_groups: config.max_groups,
@@ -223,8 +227,14 @@ impl PowerPolicy for PerqPolicy {
             self.prev_traj.retain(|id, _| adapters.contains_key(id));
         }
 
+        // The map is settled for this decision: look each listed job's
+        // adapter up once, here, for the targets and the state pass. (Not
+        // in the loop above — a job listed twice must see its adapter
+        // after both of its updates, in both places.)
+        let listed: Vec<_> = ctx.jobs.iter().map(|j| self.adapters.get(&j.id)).collect();
+
         // 2. Targets.
-        let targets = self.target_gen.generate(&self.model, ctx, &self.adapters);
+        let targets = self.target_gen.generate_for(&self.model, ctx, &listed);
 
         // 3. Usage-based budget accounting (§2.4.1: the constraint is on
         //    power *usage*): a job observed to draw comfortably below its
@@ -240,13 +250,13 @@ impl PowerPolicy for PerqPolicy {
                                          // charge; 2% of the budget absorbs that transient.
         const RESERVE_FRAC: f64 = 0.02;
 
-        // 4. Per-job MPC state, built in the same pass (one adapter probe
-        //    per job) over the buffers of the previous decision.
+        // 4. Per-job MPC state, built in the same pass over the buffers
+        //    of the previous decision.
         self.job_states.truncate(ctx.jobs.len());
         let mut slack_charge_nodes = 0.0;
         for (i, (job, &target)) in ctx.jobs.iter().zip(&targets.job_targets).enumerate() {
             let cap_frac = (job.current_cap_w / cap_max).clamp(0.0, 1.0);
-            let adapter = &self.adapters[&job.id];
+            let adapter = listed[i].expect("step 1 gave every listed job an adapter");
             let demand = adapter.demand_frac();
             // A job is only treated as slack once it has been observed for
             // several intervals (roughly one application phase), so a
@@ -326,7 +336,7 @@ impl PowerPolicy for PerqPolicy {
                 traj.extend_from_slice(next);
             }
         }
-        let mut caps = decision.caps_frac.clone();
+        let mut caps = decision.caps_frac;
 
         // 5. Identification dither: alternate a small perturbation per
         //    job (the sign flips each interval and across jobs, so the
@@ -357,7 +367,15 @@ impl PowerPolicy for PerqPolicy {
             };
             let lo = vec![ctx.cap_min_w / cap_max; caps.len()];
             let hi = vec![1.0; caps.len()];
-            perq_qp::project_box_budget(&mut caps, &lo, &hi, &budget);
+            // One budget: the single-budget bisection of
+            // `project_box_budget`, over a copy buffer that is kept.
+            perq_qp::project_box_budgets_scratch(
+                &mut caps,
+                &lo,
+                &hi,
+                std::slice::from_ref(&budget),
+                &mut self.projection,
+            );
         }
 
         // 6. Emit caps in watts with the fairness target published for

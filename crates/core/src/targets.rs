@@ -50,24 +50,37 @@ impl TargetGenerator {
         ctx: &PolicyContext<'_>,
         adapters: &HashMap<u64, JobAdapter>,
     ) -> Targets {
+        let listed: Vec<_> = ctx.jobs.iter().map(|j| adapters.get(&j.id)).collect();
+        self.generate_for(model, ctx, &listed)
+    }
+
+    /// [`TargetGenerator::generate`] for a caller that has already looked
+    /// the adapters up: `adapters[i]` belongs to `ctx.jobs[i]`, `None`
+    /// where the job has none (it is predicted from the model alone).
+    pub fn generate_for(
+        &self,
+        model: &NodeModel,
+        ctx: &PolicyContext<'_>,
+        adapters: &[Option<&JobAdapter>],
+    ) -> Targets {
+        assert_eq!(adapters.len(), ctx.jobs.len(), "one adapter slot per job");
         let fair_cap_frac = ctx.fair_cap_w() / ctx.cap_max_w;
+        let predict = |i: usize, cap_frac: f64| match adapters[i] {
+            Some(a) => a.predict_steady_state(model, cap_frac),
+            None => model.steady_state(cap_frac),
+        };
 
         // Job-level fairness targets: predicted performance at P_fair.
-        let job_targets: Vec<f64> = ctx
-            .jobs
-            .iter()
-            .map(|j| {
-                adapters
-                    .get(&j.id)
-                    .map(|a| a.predict_steady_state(model, fair_cap_frac))
-                    .unwrap_or_else(|| model.steady_state(fair_cap_frac))
-            })
+        let job_targets: Vec<f64> = (0..ctx.jobs.len())
+            .map(|i| predict(i, fair_cap_frac))
             .collect();
 
         // T_WP: FCFS prefix of the running jobs that fits on N_WP nodes,
         // each predicted at TDP (cap fraction 1.0).
         let mut order: Vec<usize> = (0..ctx.jobs.len()).collect();
-        order.sort_by_key(|&i| ctx.jobs[i].id); // FCFS = arrival = id order
+        // FCFS = arrival = id order, equal ids in list order: what a stable
+        // sort by id gives, without its scratch buffer.
+        order.sort_unstable_by_key(|&i| (ctx.jobs[i].id, i));
         let mut wp_nodes_left = ctx.wp_nodes as i64;
         let mut t_wp = 0.0;
         for &i in &order {
@@ -76,11 +89,7 @@ impl TargetGenerator {
                 break;
             }
             if (job.size as i64) <= wp_nodes_left {
-                let per_node = adapters
-                    .get(&job.id)
-                    .map(|a| a.predict_steady_state(model, 1.0))
-                    .unwrap_or_else(|| model.steady_state(1.0));
-                t_wp += per_node * job.size as f64;
+                t_wp += predict(i, 1.0) * job.size as f64;
                 wp_nodes_left -= job.size as i64;
             }
         }

@@ -25,8 +25,8 @@
 //!   and can keep decoding — the caller decides whether a garbled peer
 //!   deserves a second chance.
 
+use crate::messages::Wire;
 use crate::transport::FrameError;
-use serde::de::DeserializeOwned;
 use serde::Serialize;
 
 /// Maximum frame payload accepted (defence against corrupted length
@@ -137,14 +137,14 @@ impl FrameDecoder {
         Ok(self.next_payload_ref()?.map(<[u8]>::to_vec))
     }
 
-    /// Pops and deserializes the next complete frame straight out of the
-    /// decoder's buffer, or `None` if more bytes are needed. A payload
-    /// that fails to deserialize consumes the frame (the boundary was
-    /// intact) and returns [`FrameError::Codec`].
-    pub fn next_frame<T: DeserializeOwned>(&mut self) -> Result<Option<T>, FrameError> {
+    /// Pops and decodes ([`Wire::decode`]) the next complete frame
+    /// straight out of the decoder's buffer, or `None` if more bytes are
+    /// needed. A payload that fails to decode consumes the frame (the
+    /// boundary was intact) and returns [`FrameError::Codec`].
+    pub fn next_frame<T: Wire>(&mut self) -> Result<Option<T>, FrameError> {
         match self.next_payload_ref()? {
             None => Ok(None),
-            Some(payload) => Ok(Some(serde_json::from_slice(payload)?)),
+            Some(payload) => Ok(Some(T::decode(payload)?)),
         }
     }
 }

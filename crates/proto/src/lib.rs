@@ -40,7 +40,7 @@ mod worker;
 pub use cluster::{ProtoCluster, ProtoConfig};
 pub use codec::{FrameDecoder, FrameEncoder, MAX_FRAME};
 pub use error::ProtoError;
-pub use messages::{Command, Report};
+pub use messages::{Command, Report, Wire};
 pub use transport::{
     is_transient, read_frame, read_frame_retry, read_frame_retry_with, write_frame,
     write_frame_retry, write_frame_retry_with, FaultyTransport, FrameError, RetryPolicy,

@@ -1,8 +1,8 @@
 use crate::codec::{FrameDecoder, FrameEncoder};
+use crate::messages::Wire;
 use perq_telemetry::Recorder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::fmt;
 use std::io::{Read, Write};
@@ -64,7 +64,7 @@ pub fn write_frame<T: Serialize, W: Write>(writer: &mut W, value: &T) -> Result<
 /// ([`FrameDecoder::want`]), so no byte belonging to a later frame is
 /// ever consumed — byte-for-byte the same stream behaviour as the
 /// historical `read_exact` implementation.
-pub fn read_frame<T: DeserializeOwned, R: Read>(reader: &mut R) -> Result<T, FrameError> {
+pub fn read_frame<T: Wire, R: Read>(reader: &mut R) -> Result<T, FrameError> {
     let mut dec = FrameDecoder::new();
     let mut scratch = [0u8; 4096];
     loop {
@@ -177,7 +177,7 @@ pub fn is_transient(err: &FrameError) -> bool {
 /// Retrying restarts the frame from the length prefix, so it assumes the
 /// failed attempt consumed no bytes — true for the timeout/interrupt
 /// errors classified as transient, which fire before any data arrives.
-pub fn read_frame_retry<T: DeserializeOwned, R: Read>(
+pub fn read_frame_retry<T: Wire, R: Read>(
     reader: &mut R,
     retry: &RetryPolicy,
 ) -> Result<T, FrameError> {
@@ -190,7 +190,7 @@ pub fn read_frame_retry<T: DeserializeOwned, R: Read>(
 /// (`perq_proto_recv_errors_total`), and transient exhaustion — a
 /// worker that stayed silent through every attempt
 /// (`perq_proto_heartbeat_timeouts_total`).
-pub fn read_frame_retry_with<T: DeserializeOwned, R: Read>(
+pub fn read_frame_retry_with<T: Wire, R: Read>(
     reader: &mut R,
     retry: &RetryPolicy,
     rec: &Recorder,

@@ -1,8 +1,7 @@
 //! Per-connection state machines: incremental frame decode and bounded
 //! outbound queues with class-aware backpressure.
 
-use perq_proto::{FrameDecoder, FrameEncoder};
-use serde::de::DeserializeOwned;
+use perq_proto::{FrameDecoder, FrameEncoder, Wire};
 use serde::Serialize;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -129,7 +128,7 @@ impl<Io: Read + Write> WorkerConn<Io> {
     /// An error (clean EOF is reported as `UnexpectedEof`) means the
     /// connection is dead; frames completed before it are still in
     /// `frames` and should be handled before the write-off.
-    pub fn read_ready<T: DeserializeOwned>(
+    pub fn read_ready<T: Wire>(
         &mut self,
         scratch: &mut [u8],
         frames: &mut Vec<T>,

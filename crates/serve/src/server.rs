@@ -246,8 +246,10 @@ pub struct Server<P: Poller> {
     /// decoded reports.
     events: Vec<PollEvent>,
     reports: Vec<Report>,
-    /// Reused across ticks: the policy's job list.
+    /// Reused across ticks: the policy's job list, and the tokens a tick
+    /// sets aside for write-off.
     views: Vec<JobView>,
+    doomed: Vec<usize>,
     /// The encoded `Tick`, the same for every worker and every tick.
     tick_frame: Vec<u8>,
     cap_frames: CapFrames,
@@ -259,6 +261,7 @@ pub struct Server<P: Poller> {
 struct Inbound {
     frames: u64,
     reports: u64,
+    rejected: u64,
 }
 
 impl<P: Poller> Server<P> {
@@ -299,6 +302,7 @@ impl<P: Poller> Server<P> {
             events: Vec::new(),
             reports: Vec::new(),
             views: Vec::new(),
+            doomed: Vec::new(),
             tick_frame: FrameEncoder::new()
                 .encode(&Command::Tick)
                 .expect("a unit variant encodes"),
@@ -398,6 +402,10 @@ impl<P: Poller> Server<P> {
             self.rec
                 .counter_add("perq_serve_reports_total", inbound.reports);
         }
+        if inbound.rejected > 0 {
+            self.rec
+                .counter_add("perq_serve_reports_rejected_total", inbound.rejected);
+        }
         Ok(outcome)
     }
 
@@ -457,11 +465,20 @@ impl<P: Poller> Server<P> {
         else {
             return false;
         };
+        // A peer chose these numbers and the policy's estimators take what
+        // they are given: anything but a finite, non-negative reading
+        // proves the worker alive and nothing else.
+        let readable = |v: f64| v.is_finite() && v >= 0.0;
         for report in reports {
             inbound.frames += 1;
             if report.node_id != n.node_id {
                 self.write_off(token, "node-id-mismatch");
                 return false;
+            }
+            n.last_report_tick = self.ticks;
+            if !(readable(report.ips) && readable(report.power_w)) {
+                inbound.rejected += 1;
+                continue;
             }
             if n.batched {
                 // A delayed report from an earlier interval was superseded.
@@ -471,7 +488,6 @@ impl<P: Poller> Server<P> {
             n.last_ips = Some(report.ips);
             n.last_power_w = Some(report.power_w);
             n.batched = true;
-            n.last_report_tick = self.ticks;
             inbound.reports += 1;
         }
         true
@@ -599,13 +615,13 @@ impl<P: Poller> Server<P> {
         // latest report wins, lost reports surface as `None` measurements.
         let mut views = std::mem::take(&mut self.views);
         views.clear();
-        let mut dead: Vec<usize> = Vec::new();
+        let mut doomed = std::mem::take(&mut self.doomed);
         for &token in self.nodes.values() {
             let Some(n) = self.conns.worker_mut(token).and_then(|c| c.node.as_ref()) else {
                 continue;
             };
             if self.ticks - n.last_report_tick >= self.cfg.heartbeat_ticks {
-                dead.push(token);
+                doomed.push(token);
                 continue;
             }
             views.push(JobView {
@@ -619,22 +635,23 @@ impl<P: Poller> Server<P> {
                 is_new: self.ticks == n.first_tick,
             });
         }
-        for token in dead {
+        for token in doomed.drain(..) {
             self.write_off(token, "heartbeat");
         }
         // Connections that never completed registration (their first
         // report was lost) are written off within the same window.
-        let unregistered: Vec<usize> = self
-            .conns
-            .workers()
-            .filter(|c| {
-                c.node.is_none() && self.ticks - c.attached_tick >= self.cfg.heartbeat_ticks
-            })
-            .map(|c| c.token)
-            .collect();
-        for token in unregistered {
+        doomed.extend(
+            self.conns
+                .workers()
+                .filter(|c| {
+                    c.node.is_none() && self.ticks - c.attached_tick >= self.cfg.heartbeat_ticks
+                })
+                .map(|c| c.token),
+        );
+        for token in doomed.drain(..) {
             self.write_off(token, "registration-timeout");
         }
+        self.doomed = doomed;
 
         if !views.is_empty() {
             let ctx = PolicyContext {
@@ -1078,6 +1095,113 @@ mod tests {
         assert_eq!(
             server.recorder().counter_value("perq_serve_reports_total"),
             6
+        );
+    }
+
+    /// `(measured_ips, measured_power_w)` of every view of every tick.
+    type Seen = std::rc::Rc<std::cell::RefCell<Vec<(Option<f64>, Option<f64>)>>>;
+
+    /// Holds every cap and lists the measurements each tick showed it.
+    struct Witness {
+        seen: Seen,
+    }
+
+    impl PowerPolicy for Witness {
+        fn name(&self) -> &str {
+            "witness"
+        }
+
+        fn assign(&mut self, ctx: &PolicyContext<'_>) -> Vec<PowerAssignment> {
+            let mut seen = self.seen.borrow_mut();
+            seen.extend(
+                ctx.jobs
+                    .iter()
+                    .map(|j| (j.measured_ips, j.measured_power_w)),
+            );
+            ctx.jobs
+                .iter()
+                .map(|j| PowerAssignment::cap(j.current_cap_w))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn an_unreadable_report_is_a_heartbeat_but_not_a_reading() {
+        let seen = Seen::default();
+        let mut server = Server::with_recorders(
+            MemPoller::new(0),
+            ServeConfig {
+                heartbeat_ticks: 2,
+                ..ServeConfig::default()
+            },
+            Box::new(Witness { seen: seen.clone() }),
+            Recorder::manual(),
+            Recorder::noop(),
+        );
+        let (_, mut peer) = connect(&mut server, 5);
+        let send = |server: &mut Server<MemPoller>, ips: f64, power_w: f64| {
+            let report = Report {
+                node_id: 5,
+                job_id: Some(6),
+                ips,
+                power_w,
+                job_done: false,
+            };
+            // Straight to the handler: on the wire a non-finite float is
+            // `null`, which the real deserializer refuses and the offline
+            // stand-in reads as NaN; the boundary holds either way.
+            let mut inbound = Inbound::default();
+            assert!(server.on_reports(TOKEN_BASE, &[report], &mut inbound));
+            (inbound.frames, inbound.reports, inbound.rejected)
+        };
+        assert_eq!(send(&mut server, 1.0e9, 120.0), (1, 1, 0));
+        server.tick();
+        // Five ticks of nothing but poison: far past the heartbeat bound.
+        for (ips, power_w) in [
+            (f64::NAN, 120.0),
+            (1.0e9, f64::INFINITY),
+            (-1.0, 120.0),
+            (1.0e9, -0.5),
+            (f64::NEG_INFINITY, f64::NAN),
+        ] {
+            assert_eq!(send(&mut server, ips, power_w), (1, 0, 1));
+            server.tick();
+            assert_eq!(server.live_nodes(), 1);
+        }
+        // A huge but finite rate is the policy's to judge, not the wire's.
+        assert_eq!(send(&mut server, 1.0e300, 0.0), (1, 1, 0));
+        server.tick();
+        let mut expected = vec![(Some(1.0e9), Some(120.0))];
+        expected.extend([(None, None); 5]);
+        expected.push((Some(1.0e300), Some(0.0)));
+        assert_eq!(*seen.borrow(), expected);
+        assert_eq!(writeoffs(&server, "heartbeat"), 0);
+        drain(&mut peer);
+
+        // Through the front door: the series appears with the first
+        // rejection, not before.
+        let rejected = |s: &Server<MemPoller>| {
+            s.recorder()
+                .export_prometheus()
+                .contains("perq_serve_reports_rejected_total")
+        };
+        assert!(!rejected(&server));
+        let bad = Report {
+            node_id: 5,
+            job_id: Some(6),
+            ips: -3.0,
+            power_w: 120.0,
+            job_done: false,
+        };
+        peer.write_all(&FrameEncoder::new().encode(&bad).unwrap())
+            .unwrap();
+        settle(&mut server);
+        assert!(rejected(&server));
+        assert_eq!(
+            server
+                .recorder()
+                .counter_value("perq_serve_reports_rejected_total"),
+            1
         );
     }
 

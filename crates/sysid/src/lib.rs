@@ -44,6 +44,22 @@ pub use observer::KalmanObserver;
 pub use rls::Rls;
 pub use ss::StateSpaceModel;
 
+/// Scratch up to this length lives on the stack; the estimators in use
+/// need 2 (RLS over one parameter) and 3 (third-order node model).
+const STACK_SCRATCH: usize = 8;
+
+/// Lends `f` a zeroed buffer of `len` floats, heap-backed only beyond
+/// [`STACK_SCRATCH`]. Estimators borrow their temporaries here instead of
+/// owning them: a policy holds a pair per running job, so owned scratch
+/// is memory per job.
+fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+    if len <= STACK_SCRATCH {
+        f(&mut [0.0; STACK_SCRATCH][..len])
+    } else {
+        f(&mut vec![0.0; len])
+    }
+}
+
 /// Errors produced by the identification routines.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SysIdError {

@@ -1,5 +1,6 @@
 use crate::ss::StateSpaceModel;
 use perq_linalg::{vecops, Matrix};
+use std::sync::Arc;
 
 /// Steady-state Kalman observer for a [`StateSpaceModel`].
 ///
@@ -14,13 +15,23 @@ use perq_linalg::{vecops, Matrix};
 /// The gain is computed once at construction by iterating the discrete
 /// Riccati difference equation to a fixed point, with scalar measurement
 /// noise `r` and process noise `q·I`.
+///
+/// A clone shares the model and the gain with its original and copies
+/// only the state estimate: a policy hands one observer to every
+/// arriving job, and what differs between jobs is the state.
 #[derive(Debug, Clone)]
 pub struct KalmanObserver {
+    shared: Arc<Shared>,
+    /// Current state estimate.
+    x_hat: Vec<f64>,
+}
+
+/// What every copy of an observer has in common.
+#[derive(Debug)]
+struct Shared {
     model: StateSpaceModel,
     /// Steady-state Kalman gain (n × 1).
     gain: Vec<f64>,
-    /// Current state estimate.
-    x_hat: Vec<f64>,
 }
 
 impl KalmanObserver {
@@ -31,15 +42,14 @@ impl KalmanObserver {
         let gain = steady_state_gain(&model, q.max(1e-12), r.max(1e-12));
         let n = model.order();
         KalmanObserver {
-            model,
-            gain,
+            shared: Arc::new(Shared { model, gain }),
             x_hat: vec![0.0; n],
         }
     }
 
     /// Borrows the underlying model.
     pub fn model(&self) -> &StateSpaceModel {
-        &self.model
+        &self.shared.model
     }
 
     /// Current state estimate.
@@ -59,21 +69,20 @@ impl KalmanObserver {
         // Equilibrium state for constant input: (I − A) x = B (u + u₀),
         // then scale the state part so the full output (including the
         // feedthrough and offsets) matches the observation.
-        let n = self.model.order();
+        let model = &self.shared.model;
+        let n = model.order();
         let mut ima = Matrix::identity(n);
-        ima.axpy(-1.0, self.model.a()).expect("square");
+        ima.axpy(-1.0, model.a()).expect("square");
         if let Ok(lu) = perq_linalg::Lu::factor(&ima) {
-            let drive: Vec<f64> = self
-                .model
+            let drive: Vec<f64> = model
                 .b()
                 .iter()
-                .map(|&bi| bi * (u + self.model.input_offset()))
+                .map(|&bi| bi * (u + model.input_offset()))
                 .collect();
             if let Ok(xeq) = lu.solve(&drive) {
-                let state_part = vecops::dot(self.model.c(), &xeq);
-                let want_state = y
-                    - self.model.feedthrough() * (u + self.model.input_offset())
-                    - self.model.output_offset();
+                let state_part = vecops::dot(model.c(), &xeq);
+                let want_state =
+                    y - model.feedthrough() * (u + model.input_offset()) - model.output_offset();
                 let scale = if state_part.abs() > 1e-9 {
                     want_state / state_part
                 } else {
@@ -88,18 +97,21 @@ impl KalmanObserver {
 
     /// Predicted output for the *current* state estimate under input `u`.
     pub fn predicted_output(&self, u: f64) -> f64 {
-        self.model.output(&self.x_hat, u)
+        self.shared.model.output(&self.x_hat, u)
     }
 
     /// Processes one decision interval: the input `u` that was applied and
     /// the output `y` that was measured. Returns the innovation
     /// (measurement minus prediction) before the correction.
     pub fn update(&mut self, u: f64, y: f64) -> f64 {
-        let innovation = y - self.model.output(&self.x_hat, u);
-        // Correct, then predict forward.
-        let mut corrected = self.x_hat.clone();
-        vecops::axpy(innovation, &self.gain, &mut corrected);
-        self.x_hat = self.model.step_state(&corrected, u);
+        let Shared { model, gain } = &*self.shared;
+        let innovation = y - model.output(&self.x_hat, u);
+        // Correct in place, then predict forward.
+        vecops::axpy(innovation, gain, &mut self.x_hat);
+        crate::with_scratch(self.x_hat.len(), |next| {
+            model.step_state_into(&self.x_hat, u, next);
+            self.x_hat.copy_from_slice(next);
+        });
         innovation
     }
 }

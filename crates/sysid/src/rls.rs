@@ -66,19 +66,23 @@ impl Rls {
     pub fn update(&mut self, phi: &[f64], y: f64) -> f64 {
         debug_assert_eq!(phi.len(), self.theta.len());
         let err = y - self.predict(phi);
-        // k = P φ / (λ + φᵀ P φ)
-        let p_phi = self.p.matvec(phi).expect("dims");
-        let denom = self.lambda + vecops::dot(phi, &p_phi);
-        let k = vecops::scale(1.0 / denom, &p_phi);
-        // θ ← θ + k e
-        vecops::axpy(err, &k, &mut self.theta);
-        // P ← (P − k φᵀ P) / λ
-        let phi_p = self.p.tmatvec(phi).expect("dims");
-        for (i, &ki) in k.iter().enumerate() {
-            for (j, &pj) in phi_p.iter().enumerate() {
-                self.p[(i, j)] = (self.p[(i, j)] - ki * pj) / self.lambda;
+        let n = phi.len();
+        crate::with_scratch(2 * n, |scratch| {
+            let (k, phi_p) = scratch.split_at_mut(n);
+            // k = P φ / (λ + φᵀ P φ)
+            self.p.matvec_into(phi, k).expect("dims");
+            let inv_denom = 1.0 / (self.lambda + vecops::dot(phi, k));
+            k.iter_mut().for_each(|v| *v *= inv_denom);
+            // θ ← θ + k e
+            vecops::axpy(err, k, &mut self.theta);
+            // P ← (P − k φᵀ P) / λ
+            self.p.tmatvec_into(phi, phi_p).expect("dims");
+            for (i, &ki) in k.iter().enumerate() {
+                for (j, &pj) in phi_p.iter().enumerate() {
+                    self.p[(i, j)] = (self.p[(i, j)] - ki * pj) / self.lambda;
+                }
             }
-        }
+        });
         self.updates += 1;
         err
     }

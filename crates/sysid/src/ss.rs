@@ -95,9 +95,15 @@ impl StateSpaceModel {
 
     /// Advances the state one step for input `u`; returns the new state.
     pub fn step_state(&self, x: &[f64], u: f64) -> Vec<f64> {
-        let mut next = self.a.matvec(x).expect("state dimension");
-        vecops::axpy(u + self.input_offset, &self.b, &mut next);
+        let mut next = vec![0.0; self.order()];
+        self.step_state_into(x, u, &mut next);
         next
+    }
+
+    /// [`StateSpaceModel::step_state`] into a caller-provided buffer.
+    pub fn step_state_into(&self, x: &[f64], u: f64, next: &mut [f64]) {
+        self.a.matvec_into(x, next).expect("state dimension");
+        vecops::axpy(u + self.input_offset, &self.b, next);
     }
 
     /// Output `y = Cx + D(u + u₀) + y₀` for a given state and the input
