@@ -26,59 +26,99 @@ use crate::mpc::{MpcController, MpcDecision, MpcInput, MpcJobState};
 /// The key is hierarchical: charged and slack jobs never share a group
 /// (they face different budget charging); within each class, jobs are
 /// ordered by sensitivity (`gain · curve_slope`) and then by target
-/// deficit, and split into contiguous runs.
+/// deficit, equal keys in job order, and split into contiguous runs.
 pub fn group_jobs(jobs: &[MpcJobState], max_groups: usize) -> Vec<Vec<usize>> {
-    assert!(max_groups >= 2, "need at least one group per charge class");
-    // Each job's sort key is computed once, here, not once per comparison.
-    let mut charged: Vec<((f64, f64), usize)> = Vec::with_capacity(jobs.len());
-    let mut slack: Vec<((f64, f64), usize)> = Vec::with_capacity(jobs.len());
-    for (i, j) in jobs.iter().enumerate() {
-        let key = (
-            j.gain * j.curve_slope,
-            j.target - j.free_response.first().copied().unwrap_or(0.0),
-        );
-        if j.charged {
-            charged.push((key, i));
-        } else {
-            slack.push((key, i));
-        }
-    }
-    // Split the group budget proportionally to class population, at least
-    // one group for any non-empty class.
-    let total = jobs.len().max(1);
-    let charged_groups = if charged.is_empty() {
-        0
-    } else {
-        ((max_groups * charged.len()) / total).clamp(1, max_groups - usize::from(!slack.is_empty()))
-    };
-    let slack_groups = if slack.is_empty() {
-        0
-    } else {
-        (max_groups - charged_groups).max(1)
-    };
-
-    let mut groups = Vec::new();
-    for (mut keyed, n_groups) in [(charged, charged_groups), (slack, slack_groups)] {
-        if keyed.is_empty() {
-            continue;
-        }
-        // Stable, so equal keys keep job order.
-        keyed.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite control state"));
-        let n_groups = n_groups.min(keyed.len()).max(1);
-        let chunk = keyed.len().div_ceil(n_groups);
-        for block in keyed.chunks(chunk) {
-            groups.push(block.iter().map(|&(_, i)| i).collect());
-        }
-    }
-    groups
+    let mut scratch = GroupScratch::default();
+    scratch.regroup(jobs, max_groups);
+    scratch.groups
 }
 
-/// Builds the size-weighted aggregate pseudo-job for a group.
-fn aggregate(jobs: &[MpcJobState], members: &[usize]) -> MpcJobState {
+/// A job's sort key with its index: a total order, so there is one
+/// sorted sequence, whatever order the sort starts from and stable or not.
+type Keyed = ((f64, f64), usize);
+
+/// The grouped decide's working set, kept by the controller from one
+/// decision to the next.
+#[derive(Debug, Default)]
+pub(crate) struct GroupScratch {
+    /// Every job index, charged class then slack class, each as last
+    /// sorted: the order the next decision starts its sort from.
+    order: Vec<usize>,
+    charged: Vec<Keyed>,
+    slack: Vec<Keyed>,
+    groups: Vec<Vec<usize>>,
+    pseudo: Vec<MpcJobState>,
+}
+
+impl GroupScratch {
+    /// [`group_jobs`] into `self.groups`, sorting from last decision's
+    /// order: closer to this one's than job order is, though the dither
+    /// moves most keys every interval (DESIGN §12 has the numbers).
+    fn regroup(&mut self, jobs: &[MpcJobState], max_groups: usize) {
+        assert!(max_groups >= 2, "need at least one group per charge class");
+        if self.order.len() != jobs.len() {
+            self.order.clear();
+            self.order.extend(0..jobs.len());
+        }
+        self.charged.clear();
+        self.slack.clear();
+        // Each job's sort key is computed once, here, not once per comparison.
+        for &i in &self.order {
+            let j = &jobs[i];
+            let key = (
+                j.gain * j.curve_slope,
+                j.target - j.free_response.first().copied().unwrap_or(0.0),
+            );
+            if j.charged {
+                self.charged.push((key, i));
+            } else {
+                self.slack.push((key, i));
+            }
+        }
+        // Split the group budget proportionally to class population, at least
+        // one group for any non-empty class.
+        let (charged, slack) = (self.charged.len(), self.slack.len());
+        let charged_groups = if charged == 0 {
+            0
+        } else {
+            ((max_groups * charged) / jobs.len()).clamp(1, max_groups - usize::from(slack > 0))
+        };
+        let slack_groups = (max_groups - charged_groups).max(1);
+
+        self.order.clear();
+        let mut used = 0;
+        for (keyed, n_groups) in [
+            (&mut self.charged, charged_groups),
+            (&mut self.slack, slack_groups),
+        ] {
+            if keyed.is_empty() {
+                continue;
+            }
+            keyed.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite control state"));
+            self.order.extend(keyed.iter().map(|&(_, i)| i));
+            let n_groups = n_groups.min(keyed.len()).max(1);
+            for block in keyed.chunks(keyed.len().div_ceil(n_groups)) {
+                if used == self.groups.len() {
+                    self.groups.push(Vec::new());
+                }
+                let group = &mut self.groups[used];
+                group.clear();
+                group.extend(block.iter().map(|&(_, i)| i));
+                used += 1;
+            }
+        }
+        self.groups.truncate(used);
+    }
+}
+
+/// Overwrites `out` with the size-weighted aggregate pseudo-job of a group.
+fn aggregate_into(jobs: &[MpcJobState], members: &[usize], out: &mut MpcJobState) {
     let total_size: usize = members.iter().map(|&i| jobs[i].size).sum();
     let w = |i: usize| jobs[i].size as f64 / total_size.max(1) as f64;
     let horizon = jobs[members[0]].free_response.len();
-    let mut free = vec![0.0; horizon];
+    let mut free = std::mem::take(&mut out.free_response);
+    free.clear();
+    free.resize(horizon, 0.0);
     let mut target = 0.0;
     let mut cap = 0.0;
     let mut gain = 0.0;
@@ -97,7 +137,7 @@ fn aggregate(jobs: &[MpcJobState], members: &[usize]) -> MpcJobState {
             *f += wi * v;
         }
     }
-    MpcJobState {
+    *out = MpcJobState {
         size: total_size,
         target,
         current_cap_frac: cap,
@@ -107,7 +147,7 @@ fn aggregate(jobs: &[MpcJobState], members: &[usize]) -> MpcJobState {
         curve_slope,
         bias,
         charged: jobs[members[0]].charged,
-    }
+    };
 }
 
 impl MpcController {
@@ -119,43 +159,59 @@ impl MpcController {
     /// very large concurrent-job counts (the paper's 10,000-job scaling
     /// concern); see `grouping` module docs for the clustering key.
     pub fn decide_grouped(&self, input: &MpcInput<'_>, max_groups: usize) -> Option<MpcDecision> {
+        let mut decision = MpcDecision::default();
+        self.decide_grouped_into(input, max_groups, &mut decision)
+            .then_some(decision)
+    }
+
+    /// [`MpcController::decide_grouped`] written over `out`, whose vectors
+    /// a caller deciding every interval hands back; `false` (and `out`
+    /// untouched) when there are no jobs.
+    pub(crate) fn decide_grouped_into(
+        &self,
+        input: &MpcInput<'_>,
+        max_groups: usize,
+        out: &mut MpcDecision,
+    ) -> bool {
         if input.jobs.len() <= max_groups.max(2) {
-            return self.decide(input);
+            return self.decide(input).map(|d| *out = d).is_some();
         }
-        let groups = group_jobs(input.jobs, max_groups.max(2));
-        let pseudo: Vec<MpcJobState> = groups
-            .iter()
-            .map(|members| aggregate(input.jobs, members))
-            .collect();
+        let mut scratch = self.grouping.lock().expect("grouping scratch poisoned");
+        scratch.regroup(input.jobs, max_groups.max(2));
+        let GroupScratch { groups, pseudo, .. } = &mut *scratch;
+        pseudo.resize_with(groups.len(), MpcJobState::default);
+        for (members, out) in groups.iter().zip(pseudo.iter_mut()) {
+            aggregate_into(input.jobs, members, out);
+        }
         let grouped_input = MpcInput {
-            jobs: &pseudo,
+            jobs: pseudo,
             system_target: input.system_target,
             budget_nodes: input.budget_nodes,
             cap_min_frac: input.cap_min_frac,
             wp_nodes: input.wp_nodes,
         };
-        let group_decision = self.decide(&grouped_input)?;
+        let Some(group_decision) = self.decide(&grouped_input) else {
+            return false;
+        };
 
         let m = self.settings().horizon;
-        let mut caps = vec![0.0; input.jobs.len()];
-        let mut predicted = vec![0.0; input.jobs.len()];
-        let mut x = vec![0.0; input.jobs.len() * m];
+        let n = input.jobs.len();
+        // Every index is in exactly one group, so every slot is written.
+        out.caps_frac.resize(n, 0.0);
+        out.predicted_ips.resize(n, 0.0);
+        out.x.resize(n * m, 0.0);
         for (g, members) in groups.iter().enumerate() {
             for &i in members {
-                caps[i] = group_decision.caps_frac[g];
-                predicted[i] = group_decision.predicted_ips[g];
+                out.caps_frac[i] = group_decision.caps_frac[g];
+                out.predicted_ips[i] = group_decision.predicted_ips[g];
                 // Expand the group trajectory to every member so the
                 // result stays usable as a per-job warm start.
-                x[i * m..(i + 1) * m].copy_from_slice(&group_decision.x[g * m..(g + 1) * m]);
+                out.x[i * m..(i + 1) * m].copy_from_slice(&group_decision.x[g * m..(g + 1) * m]);
             }
         }
-        Some(MpcDecision {
-            caps_frac: caps,
-            predicted_ips: predicted,
-            x,
-            qp_iterations: group_decision.qp_iterations,
-            converged: group_decision.converged,
-        })
+        out.qp_iterations = group_decision.qp_iterations;
+        out.converged = group_decision.converged;
+        true
     }
 }
 
@@ -276,43 +332,54 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Few distinct values per field, so keys repeat and the sort's
-        /// stability decides the order; `class` 0 and 1 leave one charge
-        /// class empty; `max_groups` runs past the job count.
+        /// Few distinct values per field, so keys repeat and job order
+        /// decides; `class` 0 and 1 leave one charge class empty;
+        /// `max_groups` runs past the job count. One scratch lives through
+        /// all the ticks, so each regroup starts from the order the last
+        /// one left: with `steady` the job count holds and only keys and
+        /// charge classes move, otherwise the count changes too.
         #[test]
         fn cached_keys_group_like_the_comparator(
-            picks in proptest::collection::vec(
-                (0usize..3, 0usize..2, 0usize..2, 0usize..3, proptest::bool::ANY),
-                1..40,
+            ticks in proptest::collection::vec(
+                proptest::collection::vec(
+                    (0usize..3, 0usize..2, 0usize..2, 0usize..3, proptest::bool::ANY),
+                    1..40,
+                ),
+                1..6,
             ),
             class in 0usize..4,
             extra_groups in 0usize..6,
             tight in proptest::bool::ANY,
+            steady in proptest::bool::ANY,
         ) {
-            let jobs: Vec<MpcJobState> = picks
-                .iter()
-                .map(|&(gain, slope, target, free, charged)| MpcJobState {
-                    size: 1,
-                    target: [0.5, 0.7][target],
-                    current_cap_frac: 0.5,
-                    gain: [0.5, 1.0, 1.5][gain],
-                    free_response: [vec![], vec![0.1, 9.0], vec![0.3]][free].clone(),
-                    curve_value: 0.5,
-                    curve_slope: [1.0, 2.0][slope],
-                    bias: 0.0,
-                    charged: match class {
-                        0 => true,
-                        1 => false,
-                        _ => charged,
-                    },
-                })
-                .collect();
-            let max_groups = if tight { 2 + extra_groups } else { jobs.len() + extra_groups };
-            let max_groups = max_groups.max(2);
-            proptest::prop_assert_eq!(
-                group_jobs(&jobs, max_groups),
-                group_jobs_by_comparator(&jobs, max_groups)
-            );
+            let mut scratch = GroupScratch::default();
+            for picks in &ticks {
+                let len = if steady { ticks[0].len() } else { picks.len() };
+                let jobs: Vec<MpcJobState> = (0..len)
+                    .map(|k| picks[k % picks.len()])
+                    .map(|(gain, slope, target, free, charged)| MpcJobState {
+                        size: 1,
+                        target: [0.5, 0.7][target],
+                        current_cap_frac: 0.5,
+                        gain: [0.5, 1.0, 1.5][gain],
+                        free_response: [vec![], vec![0.1, 9.0], vec![0.3]][free].clone(),
+                        curve_value: 0.5,
+                        curve_slope: [1.0, 2.0][slope],
+                        bias: 0.0,
+                        charged: match class {
+                            0 => true,
+                            1 => false,
+                            _ => charged,
+                        },
+                    })
+                    .collect();
+                let max_groups = if tight { 2 + extra_groups } else { jobs.len() + extra_groups };
+                let max_groups = max_groups.max(2);
+                let expected = group_jobs_by_comparator(&jobs, max_groups);
+                scratch.regroup(&jobs, max_groups);
+                proptest::prop_assert_eq!(&scratch.groups, &expected);
+                proptest::prop_assert_eq!(group_jobs(&jobs, max_groups), expected);
+            }
         }
     }
 

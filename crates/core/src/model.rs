@@ -172,12 +172,18 @@ pub struct JobAdapter {
     demand_frac: Option<f64>,
     /// Previous `(φ(cap), y)` sample for differencing.
     prev: Option<(f64, f64)>,
-    /// Last cap fraction applied to this job.
+    /// Last cap fraction applied to this job, and the curve's value there.
     last_cap_frac: f64,
+    last_phi: f64,
     updates: usize,
     /// Decision epoch in which the owning policy last listed this job —
     /// departure bookkeeping, not part of the estimate.
     pub(crate) last_seen: u64,
+    /// The job's position in the job list of the decision before this
+    /// epoch's (where its optimized trajectory lies in that decision's
+    /// `x`) and in the latest list; `None` for a job not listed then.
+    pub(crate) traj_at: Option<usize>,
+    pub(crate) listed_at: Option<usize>,
 }
 
 /// Minimum `|Δφ|` that carries slope information; below this the sample
@@ -227,8 +233,11 @@ impl JobAdapter {
             demand_frac: None,
             prev: None,
             last_cap_frac: initial_cap_frac,
+            last_phi: u0,
             updates: 0,
             last_seen: 0,
+            traj_at: None,
+            listed_at: None,
         }
     }
 
@@ -256,7 +265,11 @@ impl JobAdapter {
     /// Absorbs one interval of feedback: the cap that was applied and the
     /// measured normalized per-node IPS.
     pub fn update(&mut self, model: &NodeModel, cap_frac: f64, ips_norm: f64) {
-        let u = model.curve.eval(cap_frac);
+        self.update_at(model.curve.eval(cap_frac), cap_frac, ips_norm);
+    }
+
+    /// [`Self::update`] for a caller that already holds `u = φ(cap_frac)`.
+    pub(crate) fn update_at(&mut self, u: f64, cap_frac: f64, ips_norm: f64) {
         self.observer.update(u, ips_norm);
         // Slope from first differences, only when the cap actually moved.
         if let Some((prev_u, prev_y)) = self.prev {
@@ -281,6 +294,7 @@ impl JobAdapter {
         let residual = ips_norm - self.observer.predicted_output(u);
         self.bias += 0.4 * (residual - self.bias);
         self.last_cap_frac = cap_frac;
+        self.last_phi = u;
         self.updates += 1;
     }
 
@@ -327,11 +341,16 @@ impl JobAdapter {
     /// at `P_fair`. Extrapolates from the job's smoothed level along its
     /// adapted slope: `ŷ(c) = y_level + g·(φ(c) − φ(c_now))`.
     pub fn predict_steady_state(&self, model: &NodeModel, cap_frac: f64) -> f64 {
+        self.predict_at(model.curve.eval(cap_frac))
+    }
+
+    /// [`Self::predict_steady_state`] given `phi = φ(cap_frac)`, which is
+    /// the same for every job a caller predicts at one cap.
+    pub(crate) fn predict_at(&self, phi: f64) -> f64 {
         if self.updates == 0 {
-            return model.curve.eval(cap_frac);
+            return phi;
         }
-        let dphi = model.curve.eval(cap_frac) - model.curve.eval(self.last_cap_frac);
-        (self.y_smooth + self.gain() * dphi).clamp(0.0, 1.5)
+        (self.y_smooth + self.gain() * (phi - self.last_phi)).clamp(0.0, 1.5)
     }
 
     /// Local sensitivity `∂IPS/∂cap_frac` at a cap fraction, in normalized

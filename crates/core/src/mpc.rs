@@ -1,3 +1,4 @@
+use crate::grouping::GroupScratch;
 use crate::model::NodeModel;
 use crate::mpc_assembly::{assemble_dense_qp, assemble_structured_qp, AssemblyParams};
 use perq_linalg::Matrix;
@@ -48,7 +49,7 @@ impl Default for MpcSettings {
 }
 
 /// Result of one decision.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MpcDecision {
     /// First-step cap fraction per job (what gets applied).
     pub caps_frac: Vec<f64>,
@@ -117,12 +118,15 @@ pub struct MpcController {
     /// Interior-mutable so [`MpcController::decide`] keeps its `&self`
     /// signature while reusing buffers and the spectral cache.
     scratch: Mutex<ControllerScratch>,
+    /// Likewise for [`MpcController::decide_grouped`], which holds it
+    /// across the `decide` over its pseudo-jobs.
+    pub(crate) grouping: Mutex<GroupScratch>,
 }
 
 impl Clone for MpcController {
     fn clone(&self) -> Self {
-        // The scratch is a pure cache: a clone starts cold and re-warms on
-        // its first decision.
+        // The scratches are pure caches: a clone starts cold and re-warms
+        // on its first decision.
         MpcController {
             settings: self.settings.clone(),
             markov: self.markov.clone(),
@@ -134,6 +138,7 @@ impl Clone for MpcController {
             profile: self.profile,
             recorder: self.recorder.clone(),
             scratch: Mutex::new(ControllerScratch::default()),
+            grouping: Mutex::default(),
         }
     }
 }
@@ -160,6 +165,7 @@ impl MpcController {
             profile: SolverProfile::default(),
             recorder: Recorder::noop(),
             scratch: Mutex::new(ControllerScratch::default()),
+            grouping: Mutex::default(),
         }
     }
 

@@ -36,7 +36,7 @@ use perq_linalg::Matrix;
 use perq_qp::{BoxBudgetQp, Budget, Coupling, StructuredQp};
 
 /// Per-job inputs to one MPC decision, produced from the job's adapter.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MpcJobState {
     /// Node count of the job.
     pub size: usize,

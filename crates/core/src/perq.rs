@@ -1,8 +1,8 @@
 use crate::model::{train_node_model, JobAdapter, NodeModel};
-use crate::mpc::{MpcController, MpcInput, MpcJobState, MpcSettings};
+use crate::mpc::{MpcController, MpcDecision, MpcInput, MpcJobState, MpcSettings};
 use crate::targets::TargetGenerator;
 use perq_apps::{BASE_NODE_IPS, IDLE_WATTS};
-use perq_sim::{PolicyContext, PowerAssignment, PowerPolicy};
+use perq_sim::{JobView, PolicyContext, PowerAssignment, PowerPolicy};
 use perq_telemetry::Recorder;
 use std::collections::HashMap;
 
@@ -65,15 +65,22 @@ pub struct PerqPolicy {
     /// [`JobAdapter::observer_for`] the model, copied per arriving job.
     observer: perq_sysid::KalmanObserver,
     adapters: HashMap<u64, JobAdapter>,
-    /// Last decision's optimized cap trajectory per job (horizon steps),
-    /// shifted one step and fed back as the next decision's FISTA warm
-    /// start — consecutive MPC instances differ by one interval of
+    /// Last decision, overwritten in place by the next. Its `x` holds the
+    /// optimized cap trajectory of every job it listed, in list order;
+    /// each adapter remembers its job's position ([`JobAdapter::traj_at`]),
+    /// so the trajectory, shifted one step, is the next decision's FISTA
+    /// warm start — consecutive MPC instances differ by one interval of
     /// feedback, so this cuts solver iterations without changing what
     /// the solver converges to.
-    prev_traj: HashMap<u64, Vec<f64>>,
+    decision: MpcDecision,
     /// Last decision's per-job MPC inputs, overwritten in place each
-    /// decision so the per-job `free_response` buffers are reused.
+    /// decision so the per-job `free_response` buffers are reused; the
+    /// exact path's warm start, each job's prediction at TDP and the
+    /// target generator's FCFS order, kept likewise.
     job_states: Vec<MpcJobState>,
+    warm: Vec<f64>,
+    at_tdp: Vec<f64>,
+    fcfs: Vec<usize>,
     /// The post-dither projection's working copy of the caps, kept
     /// likewise.
     projection: perq_qp::ProjectionScratch,
@@ -104,8 +111,11 @@ impl PerqPolicy {
             controller,
             target_gen: TargetGenerator::new(config.improvement_ratio),
             adapters: HashMap::new(),
-            prev_traj: HashMap::new(),
+            decision: MpcDecision::default(),
             job_states: Vec::new(),
+            warm: Vec::new(),
+            at_tdp: Vec::new(),
+            fcfs: Vec::new(),
             projection: perq_qp::ProjectionScratch::default(),
             dither_frac: config.dither_frac,
             group_threshold: config.group_threshold,
@@ -182,24 +192,118 @@ impl PowerPolicy for PerqPolicy {
         }
         let cap_max = ctx.cap_max_w;
 
+        // Usage-based budget accounting (§2.4.1: the constraint is on
+        // power *usage*): a job observed to draw comfortably below its
+        // cap is "slack" — its estimated demand (plus a safety margin)
+        // is charged as a constant and its cap headroom is free. Jobs
+        // whose caps bind (or whose demand is still unknown) are
+        // charged their full cap.
+        const SLACK_MARGIN: f64 = 0.04; // cap must exceed demand by this
+        const CHARGE_MARGIN: f64 = 0.02; // safety margin on charged demand
+                                         // Global reserve against simultaneous phase-driven demand rises in
+                                         // slack jobs: the demand estimates are decaying *peak* trackers,
+                                         // so in aggregate only a first-visit phase peak can overshoot its
+                                         // charge; 2% of the budget absorbs that transient.
+        const RESERVE_FRAC: f64 = 0.02;
+
+        let n = ctx.jobs.len();
+        let m = self.controller.settings().horizon;
+        // The grouped path solves in group space, where last interval's
+        // per-job trajectories don't map onto the variables; it warm-starts
+        // from held caps internally.
+        let grouped = n > self.group_threshold;
+        let curve = &self.model.curve;
+        // Every job is predicted at the same two caps: `P_fair` for its
+        // fairness target, TDP for the system target.
+        let phi_fair = curve.eval(ctx.fair_cap_w() / cap_max);
+        let phi_tdp = curve.eval(1.0);
+        self.job_states.truncate(n);
+        let mut slack_charge_nodes = 0.0;
+
+        // What the decision takes from a job's adapter once its feedback
+        // is in — targets, MPC state and (exact path) the warm start: last
+        // interval's optimized trajectory advanced one step (the classic
+        // MPC shift), the current cap held across the horizon for a job
+        // the last decision did not list.
+        let (controller, model) = (&self.controller, &self.model);
+        let (job_states, at_tdp, warm) = (&mut self.job_states, &mut self.at_tdp, &mut self.warm);
+        let prev_x = &self.decision.x;
+        let slack_charge = &mut slack_charge_nodes;
+        let mut derive = |i: usize, job: &JobView, cap_frac, phi, adapter: &JobAdapter| {
+            if i == 0 {
+                // A pass over the job list starts here.
+                *slack_charge = 0.0;
+                at_tdp.clear();
+                warm.clear();
+            }
+            let demand = adapter.demand_frac();
+            // A job is only treated as slack once it has been observed for
+            // several intervals (roughly one application phase), so a
+            // fresh job's yet-unseen phase peaks cannot blow the budget.
+            let seasoned = adapter.updates() >= 6;
+            let slack = seasoned && matches!(demand, Some(d) if d + SLACK_MARGIN < cap_frac);
+            if slack {
+                let d = demand.expect("slack implies known demand");
+                *slack_charge += job.size as f64 * (d + CHARGE_MARGIN);
+            }
+            let mut free_response = job_states
+                .get_mut(i)
+                .map(|prev| std::mem::take(&mut prev.free_response))
+                .unwrap_or_default();
+            controller.free_response_into(model, adapter.state(), &mut free_response);
+            let state = MpcJobState {
+                size: job.size,
+                target: adapter.predict_at(phi_fair),
+                current_cap_frac: cap_frac,
+                gain: adapter.gain(),
+                free_response,
+                curve_value: phi,
+                curve_slope: model.curve.secant_slope(cap_frac, 0.10),
+                bias: adapter.bias(),
+                charged: !slack,
+            };
+            match job_states.get_mut(i) {
+                Some(prev) => *prev = state,
+                None => job_states.push(state),
+            }
+            at_tdp.push(adapter.predict_at(phi_tdp));
+            if !grouped {
+                let traj = adapter
+                    .traj_at
+                    .and_then(|at| prev_x.get(at * m..(at + 1) * m));
+                match traj {
+                    Some(traj) => {
+                        warm.extend_from_slice(&traj[1..]);
+                        warm.push(traj[m - 1]);
+                    }
+                    None => warm.extend(std::iter::repeat_n(cap_frac, m)),
+                }
+            }
+        };
+
         // 1. Feedback: absorb last interval's measurements into the
         //    per-job adapters; create adapters for new arrivals. Each
         //    adapter listed is stamped with this decision's epoch, which
-        //    counts the distinct live jobs as a by-product.
+        //    counts the distinct live jobs as a by-product. One lookup
+        //    and one φ(cap) per job serve feedback, targets and MPC state.
         let epoch = self.step + 1;
         let mut live = 0;
-        for job in ctx.jobs {
-            let cap_frac = (job.current_cap_w / cap_max).clamp(0.0, 1.0);
+        let cap_frac_of = |job: &JobView| (job.current_cap_w / cap_max).clamp(0.0, 1.0);
+        for (i, job) in ctx.jobs.iter().enumerate() {
+            let cap_frac = cap_frac_of(job);
+            let phi = curve.eval(cap_frac);
             let adapter = self.adapters.entry(job.id).or_insert_with(|| {
                 JobAdapter::with_observer(self.observer.clone(), &self.model, cap_frac)
             });
             if adapter.last_seen != epoch {
                 adapter.last_seen = epoch;
                 live += 1;
+                adapter.traj_at = adapter.listed_at;
             }
+            adapter.listed_at = Some(i);
             if let Some(ips) = job.measured_ips {
                 let ips_norm = ips / (job.size as f64 * BASE_NODE_IPS);
-                adapter.update(&self.model, cap_frac, ips_norm);
+                adapter.update_at(phi, cap_frac, ips_norm);
             }
             if let Some(power) = job.measured_power_w {
                 // Degradation guard: a corrupted sensor can report a
@@ -216,129 +320,68 @@ impl PowerPolicy for PerqPolicy {
                         .counter_inc("perq_core_implausible_power_total");
                 }
             }
+            derive(i, job, cap_frac, phi, adapter);
+        }
+        if live < n {
+            // A job listed twice must be seen after both of its updates,
+            // everywhere: derive again, from the settled adapters.
+            for (i, job) in ctx.jobs.iter().enumerate() {
+                let cap_frac = cap_frac_of(job);
+                derive(
+                    i,
+                    job,
+                    cap_frac,
+                    curve.eval(cap_frac),
+                    &self.adapters[&job.id],
+                );
+            }
         }
         // Forget jobs the context no longer lists. Every listed job has an
         // adapter by now, so a larger map means some job left without a
         // `job_departed` call; otherwise there is nothing to prune.
-        let departed = self.adapters.len() > live;
-        if departed {
+        if self.adapters.len() > live {
             self.adapters.retain(|_, a| a.last_seen == epoch);
-            let adapters = &self.adapters;
-            self.prev_traj.retain(|id, _| adapters.contains_key(id));
         }
 
-        // The map is settled for this decision: look each listed job's
-        // adapter up once, here, for the targets and the state pass. (Not
-        // in the loop above — a job listed twice must see its adapter
-        // after both of its updates, in both places.)
-        let listed: Vec<_> = ctx.jobs.iter().map(|j| self.adapters.get(&j.id)).collect();
+        // 2. Targets: each job's is in its state already; the system's is
+        //    over the FCFS prefix, predicted at TDP.
+        let at_tdp = &self.at_tdp;
+        let system_target = self
+            .target_gen
+            .system_target(ctx, &mut self.fcfs, |i| at_tdp[i]);
 
-        // 2. Targets.
-        let targets = self.target_gen.generate_for(&self.model, ctx, &listed);
-
-        // 3. Usage-based budget accounting (§2.4.1: the constraint is on
-        //    power *usage*): a job observed to draw comfortably below its
-        //    cap is "slack" — its estimated demand (plus a safety margin)
-        //    is charged as a constant and its cap headroom is free. Jobs
-        //    whose caps bind (or whose demand is still unknown) are
-        //    charged their full cap.
-        const SLACK_MARGIN: f64 = 0.04; // cap must exceed demand by this
-        const CHARGE_MARGIN: f64 = 0.02; // safety margin on charged demand
-                                         // Global reserve against simultaneous phase-driven demand rises in
-                                         // slack jobs: the demand estimates are decaying *peak* trackers,
-                                         // so in aggregate only a first-visit phase peak can overshoot its
-                                         // charge; 2% of the budget absorbs that transient.
-        const RESERVE_FRAC: f64 = 0.02;
-
-        // 4. Per-job MPC state, built in the same pass over the buffers
-        //    of the previous decision.
-        self.job_states.truncate(ctx.jobs.len());
-        let mut slack_charge_nodes = 0.0;
-        for (i, (job, &target)) in ctx.jobs.iter().zip(&targets.job_targets).enumerate() {
-            let cap_frac = (job.current_cap_w / cap_max).clamp(0.0, 1.0);
-            let adapter = listed[i].expect("step 1 gave every listed job an adapter");
-            let demand = adapter.demand_frac();
-            // A job is only treated as slack once it has been observed for
-            // several intervals (roughly one application phase), so a
-            // fresh job's yet-unseen phase peaks cannot blow the budget.
-            let seasoned = adapter.updates() >= 6;
-            let slack = seasoned && matches!(demand, Some(d) if d + SLACK_MARGIN < cap_frac);
-            if slack {
-                let d = demand.expect("slack implies known demand");
-                slack_charge_nodes += job.size as f64 * (d + CHARGE_MARGIN);
-            }
-            let mut free_response = self
-                .job_states
-                .get_mut(i)
-                .map(|prev| std::mem::take(&mut prev.free_response))
-                .unwrap_or_default();
-            self.controller
-                .free_response_into(&self.model, adapter.state(), &mut free_response);
-            let state = MpcJobState {
-                size: job.size,
-                target,
-                current_cap_frac: cap_frac,
-                gain: adapter.gain(),
-                free_response,
-                curve_value: self.model.curve.eval(cap_frac),
-                curve_slope: self.model.curve.secant_slope(cap_frac, 0.10),
-                bias: adapter.bias(),
-                charged: !slack,
-            };
-            match self.job_states.get_mut(i) {
-                Some(prev) => *prev = state,
-                None => self.job_states.push(state),
-            }
-        }
+        // 3. Decide, over the buffers of the previous decision.
         let job_states = &self.job_states;
         let budget_nodes = ctx.busy_budget_w * (1.0 - RESERVE_FRAC) / cap_max - slack_charge_nodes;
         let input = MpcInput {
             jobs: job_states,
-            system_target: targets.system_target,
+            system_target,
             budget_nodes,
             cap_min_frac: ctx.cap_min_w / cap_max,
             wp_nodes: ctx.wp_nodes as f64,
         };
-        let decision = if ctx.jobs.len() > self.group_threshold {
-            // The grouped path solves in group space, where last
-            // interval's per-job trajectories don't map onto the
-            // variables; it warm-starts from held caps internally.
-            self.controller
-                .decide_grouped(&input, self.max_groups)
-                .expect("non-empty job list always yields a decision")
+        if grouped {
+            let decided =
+                self.controller
+                    .decide_grouped_into(&input, self.max_groups, &mut self.decision);
+            assert!(decided, "non-empty job list always yields a decision");
         } else {
-            // Warm start: last interval's optimized trajectory per job,
-            // advanced one step (the classic MPC shift), falling back to
-            // the current cap held across the horizon for new jobs.
-            let m = self.controller.settings().horizon;
-            let mut warm = Vec::with_capacity(ctx.jobs.len() * m);
-            for (job, state) in ctx.jobs.iter().zip(job_states.iter()) {
-                match self.prev_traj.get(&job.id) {
-                    Some(traj) if traj.len() == m => {
-                        warm.extend_from_slice(&traj[1..]);
-                        warm.push(traj[m - 1]);
-                    }
-                    _ => warm.extend(std::iter::repeat_n(state.current_cap_frac, m)),
-                }
-            }
-            self.controller
-                .decide_warm(&input, Some(&warm))
-                .expect("non-empty job list always yields a decision")
-        };
-        let m = self.controller.settings().horizon;
-        if decision.x.len() == ctx.jobs.len() * m {
-            // Overwritten in place: the trajectory outlives the decision, so
-            // a fresh vector per job per tick would hand memory from
-            // whichever thread decided last time to the one deciding now.
-            for (job, next) in ctx.jobs.iter().zip(decision.x.chunks_exact(m)) {
-                let traj = self.prev_traj.entry(job.id).or_default();
-                traj.clear();
-                traj.extend_from_slice(next);
-            }
+            let decision = self
+                .controller
+                .decide_warm(&input, Some(&self.warm))
+                .expect("non-empty job list always yields a decision");
+            // Copied over the kept buffers, not moved in: what outlives
+            // this call would be freed next time by whichever thread
+            // decides then (`HierSim` moves enclaves between threads), and
+            // a block freed by a thread other than the one that allocated
+            // it takes the allocator's slow path. Only these two are read.
+            self.decision.x.clone_from(&decision.x);
+            self.decision.caps_frac.clone_from(&decision.caps_frac);
         }
-        let mut caps = decision.caps_frac;
+        debug_assert_eq!(self.decision.x.len(), n * m);
+        let caps = &mut self.decision.caps_frac;
 
-        // 5. Identification dither: alternate a small perturbation per
+        // 4. Identification dither: alternate a small perturbation per
         //    job (the sign flips each interval and across jobs, so the
         //    net budget effect is near zero), then project the dithered
         //    caps of the *charged* jobs back onto the remaining budget.
@@ -370,7 +413,7 @@ impl PowerPolicy for PerqPolicy {
             // One budget: the single-budget bisection of
             // `project_box_budget`, over a copy buffer that is kept.
             perq_qp::project_box_budgets_scratch(
-                &mut caps,
+                caps,
                 &lo,
                 &hi,
                 std::slice::from_ref(&budget),
@@ -378,21 +421,20 @@ impl PowerPolicy for PerqPolicy {
             );
         }
 
-        // 6. Emit caps in watts with the fairness target published for
+        // 5. Emit caps in watts with the fairness target published for
         //    tracing.
         caps.iter()
             .zip(ctx.jobs.iter())
-            .zip(targets.job_targets.iter())
-            .map(|((&frac, job), &target)| PowerAssignment {
+            .zip(job_states.iter())
+            .map(|((&frac, job), state)| PowerAssignment {
                 cap_w: frac * cap_max,
-                target_ips: Some(target * job.size as f64 * BASE_NODE_IPS),
+                target_ips: Some(state.target * job.size as f64 * BASE_NODE_IPS),
             })
             .collect()
     }
 
     fn job_departed(&mut self, job_id: u64) {
         self.adapters.remove(&job_id);
-        self.prev_traj.remove(&job_id);
     }
 }
 
@@ -494,37 +536,49 @@ mod tests {
         assert!(perq.tracked_jobs() <= 16);
     }
 
-    #[test]
-    fn untold_departures_are_pruned_exactly_like_told_ones() {
-        // Job lists that drop, permute, re-add and even repeat ids. The
-        // `untold` policy only ever sees the lists; its twin is told of
-        // every departure first, as the simulators do. Both must track
-        // exactly the ids of the last list and decide bit-identically.
-        use perq_sim::JobView;
+    /// Job lists that drop, permute, re-add and even repeat ids, and ids
+    /// that depart and come straight back (`bounced`, told to both). The
+    /// `untold` policy otherwise only ever sees the lists; its twin is
+    /// told of every departure first, as the simulators do. Both must
+    /// track exactly the ids of the last list, decide bit-identically, and
+    /// warm-start every exact decision from what a map from job id to the
+    /// last decision's trajectory would have held. Returns, per step,
+    /// whether the decision was grouped.
+    fn run_departure_script(config: PerqConfig) -> Vec<bool> {
         use std::collections::{BTreeMap, BTreeSet};
-        let script: [&[u64]; 10] = [
-            &[1, 2, 3, 4, 5],
-            &[1, 2, 3, 4, 5],
-            &[5, 3, 1],
-            &[5, 3, 1, 2],
-            &[2, 1],
-            &[2, 1],
-            &[6, 7, 1],
-            &[1, 1, 7],
-            &[7, 8, 9, 10],
-            &[3],
+        let script: [(&[u64], &[u64]); 11] = [
+            (&[1, 2, 3, 4, 5], &[]),
+            (&[1, 2, 3, 4, 5], &[]),
+            (&[5, 3, 1], &[]),
+            (&[5, 3, 1, 2], &[3]),
+            (&[2, 1], &[]),
+            (&[2, 1], &[2]),
+            (&[6, 7, 1], &[]),
+            (&[1, 1, 7], &[]),
+            (&[1, 1, 7], &[]),
+            (&[7, 8, 9, 10], &[]),
+            (&[3], &[]),
         ];
-        let (model, _) = train_node_model(PerqConfig::default().training_seed);
-        let mut untold = PerqPolicy::with_model(model.clone(), PerqConfig::default());
-        let mut told = PerqPolicy::with_model(model, PerqConfig::default());
+        let (model, _) = train_node_model(config.training_seed);
+        let mut untold = PerqPolicy::with_model(model.clone(), config.clone());
+        let mut told = PerqPolicy::with_model(model, config.clone());
+        let m = config.mpc.horizon;
         let cap_max = 290.0;
         let mut caps: BTreeMap<u64, f64> = BTreeMap::new();
         let mut last: BTreeSet<u64> = BTreeSet::new();
-        for (step, ids) in script.iter().enumerate() {
+        // Job id -> its trajectory in the last decision (last listing wins).
+        let mut by_id: HashMap<u64, Vec<f64>> = HashMap::new();
+        let mut grouped_steps = Vec::new();
+        for (step, (ids, bounced)) in script.iter().enumerate() {
             let live: BTreeSet<u64> = ids.iter().copied().collect();
             for gone in last.difference(&live) {
                 told.job_departed(*gone);
                 caps.remove(gone);
+            }
+            for id in *bounced {
+                told.job_departed(*id);
+                untold.job_departed(*id);
+                by_id.remove(id);
             }
             let jobs: Vec<JobView> = ids
                 .iter()
@@ -538,7 +592,7 @@ mod tests {
                         current_cap_w: cap,
                         measured_power_w: Some((60.0 + 15.0 * id as f64).min(cap)),
                         remaining_node_hours: 5.0,
-                        is_new: !last.contains(&id),
+                        is_new: !last.contains(&id) || bounced.contains(&id),
                     }
                 })
                 .collect();
@@ -554,6 +608,21 @@ mod tests {
                 violation_s: 0.0,
                 jobs: &jobs,
             };
+            let grouped = jobs.len() > config.group_threshold;
+            grouped_steps.push(grouped);
+            let mut expected_warm: Vec<u64> = Vec::new();
+            for job in jobs.iter().filter(|_| !grouped) {
+                match by_id.get(&job.id) {
+                    Some(traj) => {
+                        expected_warm.extend(traj[1..].iter().map(|v| v.to_bits()));
+                        expected_warm.push(traj[m - 1].to_bits());
+                    }
+                    None => {
+                        let held = (job.current_cap_w / cap_max).clamp(0.0, 1.0);
+                        expected_warm.extend(std::iter::repeat_n(held.to_bits(), m));
+                    }
+                }
+            }
             let a = untold.assign(&ctx);
             let b = told.assign(&ctx);
             assert_eq!(a.len(), jobs.len());
@@ -561,15 +630,25 @@ mod tests {
                 assert_eq!(x.cap_w.to_bits(), y.cap_w.to_bits(), "step {step}");
                 caps.insert(job.id, x.cap_w);
             }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             for policy in [&untold, &told] {
                 assert_eq!(policy.tracked_jobs(), live.len(), "step {step}");
                 let tracked: BTreeSet<u64> = policy.adapters().keys().copied().collect();
                 assert_eq!(tracked, live, "step {step}");
-                let warm: BTreeSet<u64> = policy.prev_traj.keys().copied().collect();
-                assert_eq!(warm, live, "step {step}: warm-start trajectories");
+                assert_eq!(bits(&policy.warm), expected_warm, "step {step}: warm start");
+                assert_eq!(policy.decision.x.len(), jobs.len() * m, "step {step}");
+                for id in &live {
+                    let listed_last = ids.iter().rposition(|other| other == id);
+                    assert_eq!(policy.adapter(*id).unwrap().listed_at, listed_last);
+                }
                 for gone in last.difference(&live) {
                     assert!(policy.adapter(*gone).is_none());
                 }
+            }
+            assert_eq!(bits(&untold.decision.x), bits(&told.decision.x));
+            by_id.clear();
+            for (id, traj) in ids.iter().zip(untold.decision.x.chunks_exact(m)) {
+                by_id.insert(*id, traj.to_vec());
             }
             for id in &live {
                 let (x, y) = (untold.adapter(*id).unwrap(), told.adapter(*id).unwrap());
@@ -580,6 +659,28 @@ mod tests {
             }
             last = live;
         }
+        grouped_steps
+    }
+
+    #[test]
+    fn untold_departures_are_pruned_exactly_like_told_ones() {
+        let grouped = run_departure_script(PerqConfig::default());
+        assert!(grouped.iter().all(|g| !g), "every decision exact");
+    }
+
+    #[test]
+    fn an_exact_decision_after_a_grouped_one_warm_starts_from_its_trajectories() {
+        // Over three jobs the decision is grouped (two pseudo-jobs), else
+        // exact: the script crosses over in both directions, and every
+        // exact decision must start from the expanded group trajectories
+        // exactly as if they had been filed per job id.
+        let grouped = run_departure_script(PerqConfig {
+            group_threshold: 3,
+            max_groups: 2,
+            ..PerqConfig::default()
+        });
+        assert!(grouped.windows(2).any(|w| w == [true, false]));
+        assert!(grouped.windows(2).any(|w| w == [false, true]));
     }
 
     #[test]

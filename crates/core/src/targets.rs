@@ -65,41 +65,49 @@ impl TargetGenerator {
     ) -> Targets {
         assert_eq!(adapters.len(), ctx.jobs.len(), "one adapter slot per job");
         let fair_cap_frac = ctx.fair_cap_w() / ctx.cap_max_w;
-        let predict = |i: usize, cap_frac: f64| match adapters[i] {
-            Some(a) => a.predict_steady_state(model, cap_frac),
-            None => model.steady_state(cap_frac),
-        };
+        // A job without an adapter is predicted from the model alone.
+        let predict = |i: usize, phi: f64| adapters[i].map_or(phi, |a| a.predict_at(phi));
 
         // Job-level fairness targets: predicted performance at P_fair.
-        let job_targets: Vec<f64> = (0..ctx.jobs.len())
-            .map(|i| predict(i, fair_cap_frac))
-            .collect();
+        let phi_fair = model.curve.eval(fair_cap_frac);
+        let job_targets: Vec<f64> = (0..ctx.jobs.len()).map(|i| predict(i, phi_fair)).collect();
 
-        // T_WP: FCFS prefix of the running jobs that fits on N_WP nodes,
-        // each predicted at TDP (cap fraction 1.0).
-        let mut order: Vec<usize> = (0..ctx.jobs.len()).collect();
-        // FCFS = arrival = id order, equal ids in list order: what a stable
-        // sort by id gives, without its scratch buffer.
-        order.sort_unstable_by_key(|&i| (ctx.jobs[i].id, i));
-        let mut wp_nodes_left = ctx.wp_nodes as i64;
-        let mut t_wp = 0.0;
-        for &i in &order {
-            let job = &ctx.jobs[i];
-            if wp_nodes_left <= 0 {
-                break;
-            }
-            if (job.size as i64) <= wp_nodes_left {
-                t_wp += predict(i, 1.0) * job.size as f64;
-                wp_nodes_left -= job.size as i64;
-            }
-        }
-        let system_target = self.improvement_ratio * t_wp / ctx.wp_nodes as f64;
-
+        let phi_tdp = model.curve.eval(1.0);
+        let system_target = self.system_target(ctx, &mut Vec::new(), |i| predict(i, phi_tdp));
         Targets {
             job_targets,
             system_target,
             fair_cap_frac,
         }
+    }
+
+    /// `T_ratio · T_WP / N_WP`, with `T_WP` summed over the FCFS prefix of
+    /// the running jobs that fits on `N_WP` nodes, job `i` predicted at
+    /// TDP (cap fraction 1.0) by `at_tdp(i)`. `order` is scratch.
+    pub(crate) fn system_target(
+        &self,
+        ctx: &PolicyContext<'_>,
+        order: &mut Vec<usize>,
+        at_tdp: impl Fn(usize) -> f64,
+    ) -> f64 {
+        order.clear();
+        order.extend(0..ctx.jobs.len());
+        // FCFS = arrival = id order, equal ids in list order: what a stable
+        // sort by id gives, without its scratch buffer.
+        order.sort_unstable_by_key(|&i| (ctx.jobs[i].id, i));
+        let mut wp_nodes_left = ctx.wp_nodes as i64;
+        let mut t_wp = 0.0;
+        for &i in order.iter() {
+            let job = &ctx.jobs[i];
+            if wp_nodes_left <= 0 {
+                break;
+            }
+            if (job.size as i64) <= wp_nodes_left {
+                t_wp += at_tdp(i) * job.size as f64;
+                wp_nodes_left -= job.size as i64;
+            }
+        }
+        self.improvement_ratio * t_wp / ctx.wp_nodes as f64
     }
 }
 

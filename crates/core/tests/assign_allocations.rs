@@ -2,8 +2,11 @@
 //! buffers (adapters, MPC states, estimator scratch, the dither
 //! projection's working set) are kept or live on the stack, so a
 //! steady-state `assign` over 2N jobs performs exactly as many heap
-//! allocations as one over N — longer ones, not more. Also pins the
-//! slice-taking target generator to its map-taking wrapper.
+//! allocations as one over N — longer ones, not more. The grouped path
+//! keeps everything it adds (sort keys, group lists, pseudo-jobs, the
+//! expanded decision), so it allocates exactly what the exact decision
+//! over its pseudo-jobs does. Also pins the slice-taking target
+//! generator to its map-taking wrapper.
 
 #[path = "../../sysid/tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -43,16 +46,17 @@ fn ctx<'a>(jobs: &'a [JobView], tick: usize) -> PolicyContext<'a> {
     }
 }
 
-/// Runs `n` size-1 jobs to a steady state and returns the allocations of
-/// one more decision over the same job list. Every job reports every
-/// tick with a moving cap, so both estimators of every adapter update.
+/// Runs size-1 jobs `1..=n` for one tick per entry of `counts` (`n` that
+/// tick's entry) and returns the allocations of the last decision. Every
+/// job reports every tick with a moving cap, so both estimators of every
+/// adapter update.
 ///
 /// The QP solver is held to a fixed number of iterations (a tolerance it
 /// cannot meet, a low cap): `perq-qp` allocates once per projection for
 /// its overlap check, so its count follows the iteration count, which
 /// follows the problem. What is under test is everything around the
 /// solve.
-fn steady_state_allocations(n: usize) -> u64 {
+fn allocations_of_the_last_decision(counts: &[usize]) -> u64 {
     let config = PerqConfig {
         mpc: MpcSettings {
             max_qp_iters: 12,
@@ -62,10 +66,11 @@ fn steady_state_allocations(n: usize) -> u64 {
         ..PerqConfig::default()
     };
     let mut policy = PerqPolicy::with_model(model().clone(), config);
-    let mut caps = vec![CAP_MAX; n];
-    let mut jobs: Vec<JobView> = Vec::with_capacity(n);
+    let most = counts.iter().copied().max().unwrap_or(0);
+    let mut caps = vec![CAP_MAX; most];
+    let mut jobs: Vec<JobView> = Vec::with_capacity(most);
     let mut counted = 0;
-    for tick in 0..12 {
+    for (tick, &n) in counts.iter().enumerate() {
         jobs.clear();
         jobs.extend((0..n).map(|i| {
             let response = 0.6 + 0.4 * ((i % 7) as f64 / 7.0);
@@ -87,8 +92,13 @@ fn steady_state_allocations(n: usize) -> u64 {
         }
         counted = allocations;
     }
-    assert_eq!(policy.tracked_jobs(), n);
+    assert_eq!(policy.tracked_jobs(), *counts.last().expect("a tick"));
     counted
+}
+
+/// `n` jobs run to a steady state, then one more decision.
+fn steady_state_allocations(n: usize) -> u64 {
+    allocations_of_the_last_decision(&[n; 12])
 }
 
 #[test]
@@ -106,6 +116,17 @@ fn grouped_assign_allocations_do_not_grow_with_the_job_count() {
         steady_state_allocations(1024),
     );
     assert_eq!(small, large, "512 jobs vs 1024 jobs");
+    assert_eq!(large, steady_state_allocations(2048), "1024 vs 2048 jobs");
+    // 64 pseudo-jobs: the exact decision over 64 jobs, and nothing more.
+    assert_eq!(large, steady_state_allocations(64), "grouped vs exact");
+    // Fewer jobs than last tick (the sort restarts from job order, groups
+    // and expanded buffers shrink): still nothing new.
+    let mut shrinking = [1024; 12];
+    shrinking[10..].fill(768);
+    for upto in [11, 12] {
+        let after = allocations_of_the_last_decision(&shrinking[..upto]);
+        assert_eq!(after, large, "1024 jobs, then 768 ({upto} ticks)");
+    }
 }
 
 fn arb_view() -> impl Strategy<Value = (u64, usize, f64, bool)> {
@@ -153,7 +174,10 @@ proptest! {
         context.wp_nodes = wp_nodes;
         let generator = TargetGenerator::new(ratio);
         let listed: Vec<Option<&JobAdapter>> = jobs.iter().map(|j| adapters.get(&j.id)).collect();
-        prop_assert!(listed.iter().any(Option::is_none) || views.iter().all(|v| v.3));
+        // A slot is empty exactly when no listing of that id was tracked.
+        for (job, slot) in jobs.iter().zip(&listed) {
+            prop_assert_eq!(slot.is_some(), views.iter().any(|v| v.0 == job.id && v.3));
+        }
         let by_map = generator.generate(model, &context, &adapters);
         let by_slice = generator.generate_for(model, &context, &listed);
         prop_assert_eq!(by_map.system_target.to_bits(), by_slice.system_target.to_bits());

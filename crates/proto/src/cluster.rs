@@ -327,14 +327,19 @@ impl ProtoCluster {
                     newly_dead.insert(node);
                 }
             }
-            let mut reports: BTreeMap<u32, Report> = BTreeMap::new();
+            // Per node: its `(ips, power_w)` reading, if it sent a usable
+            // one ([`Report::reading`]), and whether its share of the job
+            // is done — protocol state, reported once, kept either way.
+            let mut reports: BTreeMap<u32, (Option<(f64, f64)>, bool)> = BTreeMap::new();
+            let mut rejected = 0u64;
             for (&node, sock) in streams.iter_mut() {
                 if newly_dead.contains(&node) {
                     continue;
                 }
                 match read_frame_retry_with::<Report, _>(sock, &cfg.retry, &rec) {
-                    Ok(report) => {
-                        reports.insert(node, report);
+                    Ok(r) => {
+                        rejected += u64::from(r.reading().is_none());
+                        reports.insert(node, (r.reading(), r.job_done));
                     }
                     Err(_) => {
                         newly_dead.insert(node);
@@ -343,9 +348,12 @@ impl ProtoCluster {
             }
 
             // 5. Digest reports per job.
+            if rejected > 0 {
+                rec.counter_add("perq_proto_reports_rejected_total", rejected);
+            }
             let mut total_power: f64 = 0.0;
-            for r in reports.values() {
-                total_power += r.power_w;
+            for (_, power_w) in reports.values().filter_map(|r| r.0) {
+                total_power += power_w;
             }
             let mut finished: Vec<usize> = Vec::new();
             for (ji, job) in live.iter_mut().enumerate() {
@@ -359,16 +367,15 @@ impl ProtoCluster {
                         continue;
                     }
                     // A dead node has no report; its job is killed below.
-                    let Some(r) = reports.get(&node) else {
+                    let Some(&(reading, job_done)) = reports.get(&node) else {
                         continue;
                     };
-                    slowest = Some(match slowest {
-                        Some(s) => s.min(r.ips),
-                        None => r.ips,
-                    });
-                    power_sum += r.power_w;
-                    power_n += 1;
-                    if r.job_done {
+                    if let Some((ips, power_w)) = reading {
+                        slowest = Some(slowest.map_or(ips, |s: f64| s.min(ips)));
+                        power_sum += power_w;
+                        power_n += 1;
+                    }
+                    if job_done {
                         job.done_nodes.push(node);
                     }
                 }
@@ -537,5 +544,123 @@ impl ProtoCluster {
             decision_times_s: decision_times,
         };
         (result, lost)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::read_frame;
+    use perq_sim::PowerAssignment;
+    use std::sync::{Arc, Mutex};
+
+    /// `(measured_ips, measured_power_w)` of every view of every decision.
+    type Seen = Arc<Mutex<Vec<(Option<f64>, Option<f64>)>>>;
+
+    /// Holds every cap and lists the measurements each decision showed it.
+    struct Witness {
+        seen: Seen,
+    }
+
+    impl PowerPolicy for Witness {
+        fn name(&self) -> &str {
+            "witness"
+        }
+
+        fn assign(&mut self, ctx: &PolicyContext<'_>) -> Vec<PowerAssignment> {
+            let mut seen = self.seen.lock().unwrap();
+            seen.extend(
+                ctx.jobs
+                    .iter()
+                    .map(|j| (j.measured_ips, j.measured_power_w)),
+            );
+            ctx.jobs
+                .iter()
+                .map(|j| PowerAssignment::cap(j.current_cap_w))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn a_lying_worker_proves_liveness_and_nothing_else() {
+        // Two nodes run one two-node job. Node 0 is a real worker; node 1
+        // answers every tick with a negative rate and a negative draw,
+        // which cross the wire as valid JSON numbers. Taken as sent, the
+        // rate wins `min` and runs the job's progress backwards, and the
+        // draw hides 500 W from the budget check.
+        let ticks = 6;
+        let config = ProtoConfig::tardis(2, 1.0, ticks);
+        let interval_s = config.interval_s;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let honest = std::thread::spawn(move || {
+            NodeWorker::new(0, ecp_suite(), interval_s, 7).run(TcpStream::connect(addr).unwrap())
+        });
+        let liar = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let mut out = stream.try_clone().unwrap();
+            let mut say = |ips: f64, power_w: f64| {
+                let report = Report {
+                    node_id: 1,
+                    job_id: None,
+                    ips,
+                    power_w,
+                    job_done: false,
+                };
+                write_frame(&mut out, &report).unwrap();
+            };
+            say(0.0, IDLE_WATTS);
+            loop {
+                match read_frame::<Command, _>(&mut stream).unwrap() {
+                    Command::Tick => say(-1.0e9, -500.0),
+                    Command::Shutdown => return,
+                    _ => {}
+                }
+            }
+        });
+        let mut streams = BTreeMap::new();
+        for _ in 0..2 {
+            let (mut sock, _) = listener.accept().unwrap();
+            let reg: Report = read_frame(&mut sock).unwrap();
+            streams.insert(reg.node_id, sock);
+        }
+        let job = JobSpec {
+            id: 1,
+            size: 2,
+            app_index: 5,
+            runtime_tdp_s: 1.0e6,
+            runtime_estimate_s: 1.0e6,
+            submit_s: 0.0,
+        };
+        let rec = Recorder::manual();
+        let seen = Seen::default();
+        let cluster = ProtoCluster::new(config).with_recorder(rec.clone());
+        let mut policy = Witness { seen: seen.clone() };
+        let (result, lost) = cluster.control_loop(&mut streams, vec![job], &mut policy);
+        for sock in streams.values_mut() {
+            write_frame(sock, &Command::Shutdown).unwrap();
+        }
+        honest.join().unwrap().unwrap();
+        liar.join().unwrap();
+
+        assert!(lost.is_empty(), "a lie is not a crash");
+        assert_eq!(
+            rec.counter_value("perq_proto_reports_rejected_total"),
+            ticks as u64
+        );
+        // The policy only ever saw the honest node's readings.
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen[0], (None, None));
+        for (ips, power_w) in &seen[1..] {
+            assert!(matches!(ips, Some(v) if *v > 0.0), "{ips:?}");
+            assert!(
+                matches!(power_w, Some(v) if *v >= IDLE_WATTS),
+                "{power_w:?}"
+            );
+        }
+        assert!(result.records[0].progress_s > 0.0);
+        for log in &result.intervals {
+            assert!(log.total_power_w >= IDLE_WATTS, "{}", log.total_power_w);
+        }
     }
 }

@@ -67,6 +67,15 @@ pub struct Report {
 }
 
 impl Report {
+    /// The `(ips, power_w)` reading, if the report carries a usable one.
+    /// A peer chose these numbers and the controllers' estimators take
+    /// what they are given: anything but two finite, non-negative values
+    /// proves the worker alive and nothing else.
+    pub fn reading(&self) -> Option<(f64, f64)> {
+        let usable = |v: f64| v.is_finite() && v >= 0.0;
+        (usable(self.ips) && usable(self.power_w)).then_some((self.ips, self.power_w))
+    }
+
     /// Reads exactly what the encoder writes for a report with finite
     /// readings — keys in declaration order, no whitespace, integers
     /// without sign or leading zeros, floats in the JSON number grammar —

@@ -14,7 +14,7 @@
 //! benches.
 
 use crate::poller::{PollEvent, Poller};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::rc::Rc;
@@ -23,11 +23,23 @@ use std::time::Duration;
 /// Default per-direction pipe capacity, bytes.
 pub const DEFAULT_PIPE_CAP: usize = 64 * 1024;
 
+/// What one poller's registered ends have pending, kept current by the
+/// pipes themselves, so a poll with nothing to report never looks at one.
+#[derive(Debug, Default)]
+struct Watch {
+    /// Bytes buffered toward registered ends.
+    bytes: Cell<usize>,
+    /// Registered ends whose inbound direction is closed.
+    closed: Cell<usize>,
+}
+
 #[derive(Debug)]
 struct PipeBuf {
     data: std::collections::VecDeque<u8>,
     cap: usize,
     closed: bool,
+    /// Set while the end that reads this direction is registered.
+    watch: Option<Rc<Watch>>,
 }
 
 impl PipeBuf {
@@ -36,7 +48,17 @@ impl PipeBuf {
             data: std::collections::VecDeque::new(),
             cap,
             closed: false,
+            watch: None,
         }))
+    }
+
+    fn close(&mut self) {
+        if !self.closed {
+            self.closed = true;
+            if let Some(w) = &self.watch {
+                w.closed.set(w.closed.get() + 1);
+            }
+        }
     }
 }
 
@@ -72,8 +94,8 @@ impl MemIo {
     /// Closes both directions: the peer reads EOF once its inbound data
     /// drains, and further writes from either side fail.
     pub fn close(&self) {
-        self.rx.borrow_mut().closed = true;
-        self.tx.borrow_mut().closed = true;
+        self.rx.borrow_mut().close();
+        self.tx.borrow_mut().close();
     }
 
     /// Bytes currently buffered toward this end.
@@ -112,6 +134,9 @@ impl Read for MemIo {
         buf[..from_head].copy_from_slice(&head[..from_head]);
         buf[from_head..n].copy_from_slice(&tail[..n - from_head]);
         rx.data.drain(..n);
+        if let Some(w) = &rx.watch {
+            w.bytes.set(w.bytes.get() - n);
+        }
         Ok(n)
     }
 }
@@ -128,6 +153,9 @@ impl Write for MemIo {
         }
         let n = space.min(buf.len());
         tx.data.extend(&buf[..n]);
+        if let Some(w) = &tx.watch {
+            w.bytes.set(w.bytes.get() + n);
+        }
         Ok(n)
     }
 
@@ -137,9 +165,16 @@ impl Write for MemIo {
 }
 
 /// Deterministic poller over [`MemIo`] ends.
+///
+/// Like epoll, a poll costs what is ready, not what is registered: the
+/// pipes keep its counts current on every read, write and close, and only
+/// a poll that has something to report scans the registry.
 pub struct MemPoller {
     /// Each registered end with its write-interest flag.
     registry: BTreeMap<usize, (MemIo, bool)>,
+    watch: Rc<Watch>,
+    /// Registered ends with write interest on.
+    armed: usize,
     batch: usize,
     cursor: usize,
 }
@@ -151,6 +186,8 @@ impl MemPoller {
     pub fn new(batch: usize) -> Self {
         MemPoller {
             registry: BTreeMap::new(),
+            watch: Rc::default(),
+            armed: 0,
             batch,
             cursor: 0,
         }
@@ -175,22 +212,38 @@ impl MemPoller {
     }
 }
 
+impl Drop for MemPoller {
+    fn drop(&mut self) {
+        for (io, _) in self.registry.values() {
+            io.rx.borrow_mut().watch = None;
+        }
+    }
+}
+
 impl Poller for MemPoller {
     type Io = MemIo;
 
+    /// One registration per end and per token, as `epoll_ctl` has it.
     fn register(&mut self, io: &Self::Io, token: usize) -> io::Result<()> {
-        if self.registry.insert(token, (io.clone(), false)).is_some() {
+        let mut rx = io.rx.borrow_mut();
+        if rx.watch.is_some() || self.registry.contains_key(&token) {
             return Err(io::Error::new(
                 io::ErrorKind::AlreadyExists,
-                "token already registered",
+                "end or token already registered",
             ));
         }
+        let w = &self.watch;
+        w.bytes.set(w.bytes.get() + rx.data.len());
+        w.closed.set(w.closed.get() + usize::from(rx.closed));
+        rx.watch = Some(Rc::clone(w));
+        self.registry.insert(token, (io.clone(), false));
         Ok(())
     }
 
     fn set_write_interest(&mut self, _io: &Self::Io, token: usize, on: bool) -> io::Result<()> {
         match self.registry.get_mut(&token) {
             Some((_, write_interest)) => {
+                self.armed = self.armed + usize::from(on) - usize::from(*write_interest);
                 *write_interest = on;
                 Ok(())
             }
@@ -203,12 +256,18 @@ impl Poller for MemPoller {
 
     fn deregister(&mut self, io: &Self::Io, token: usize) -> io::Result<()> {
         match self.registry.get(&token) {
-            Some((reg, _)) if reg.same_pipe(io) => {
+            Some((reg, write_interest)) if reg.same_pipe(io) => {
                 // The server deregisters exactly when it is about to drop
                 // the transport; for TCP that closes the socket, so the
                 // in-memory pipe closes here to match (the peer drains
                 // buffered data, then reads EOF).
                 io.close();
+                let mut rx = io.rx.borrow_mut();
+                rx.watch = None;
+                let w = &self.watch;
+                w.bytes.set(w.bytes.get() - rx.data.len());
+                w.closed.set(w.closed.get() - 1);
+                self.armed -= usize::from(*write_interest);
                 self.registry.remove(&token);
                 Ok(())
             }
@@ -218,6 +277,12 @@ impl Poller for MemPoller {
 
     fn poll(&mut self, out: &mut Vec<PollEvent>, _timeout: Option<Duration>) -> io::Result<()> {
         out.clear();
+        // Readable and hangup need buffered bytes or a closed inbound
+        // direction, writable needs write interest: with none of the
+        // three anywhere, no registered end has an event.
+        if self.watch.bytes.get() == 0 && self.watch.closed.get() == 0 && self.armed == 0 {
+            return Ok(());
+        }
         let limit = if self.batch == 0 {
             usize::MAX
         } else {
@@ -290,6 +355,33 @@ mod tests {
         p.poll(&mut evs, None).unwrap();
         assert_eq!(evs.iter().map(|e| e.token).collect::<Vec<_>>(), vec![3, 0]);
         // All four got reported across two polls despite batch=2.
+    }
+
+    #[test]
+    fn deregistering_takes_an_end_out_of_every_count() {
+        // Over-counting would only cost the O(1) path, so no event list
+        // shows it: look at the counts.
+        let mut p = MemPoller::new(0);
+        let idle =
+            |p: &MemPoller| (p.watch.bytes.get(), p.watch.closed.get(), p.armed) == (0, 0, 0);
+        let ends: Vec<_> = (0..3).map(|_| mem_pair(64)).collect();
+        for (t, (srv, peer)) in ends.iter().enumerate() {
+            peer.clone().write_all(b"pending").unwrap();
+            p.register(srv, t).unwrap();
+        }
+        p.set_write_interest(&ends[1].0, 1, true).unwrap();
+        ends[2].1.close();
+        assert!(!idle(&p));
+        for (t, (srv, _)) in ends.iter().enumerate() {
+            p.deregister(srv, t).unwrap();
+        }
+        assert!(idle(&p));
+        // A registered end's own traffic, drained, leaves nothing behind.
+        let (srv, mut peer) = mem_pair(64);
+        p.register(&srv, 9).unwrap();
+        peer.write_all(b"ping").unwrap();
+        srv.clone().read_exact(&mut [0u8; 4]).unwrap();
+        assert!(idle(&p));
     }
 
     #[test]

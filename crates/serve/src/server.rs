@@ -17,7 +17,7 @@ use perq_proto::{Command, FrameEncoder, Report};
 use perq_sim::{FairPolicy, JobView, PolicyContext, PowerPolicy};
 use perq_telemetry::{FieldValue, Recorder};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -230,11 +230,12 @@ pub struct Server<P: Poller> {
     cfg: ServeConfig,
     policy: Box<dyn PowerPolicy>,
     conns: Conns<P::Io>,
-    /// Live nodes in id order — the order of the policy's job list, and
-    /// so of caps and exports — each with its connection's token. An
-    /// entry exists exactly while that connection holds the node's
-    /// [`NodeState`], which is what makes a reused token unambiguous.
-    nodes: BTreeMap<u32, usize>,
+    /// Live nodes as `(node id, token)`, sorted by id — the order of the
+    /// policy's job list, and so of caps and exports. An entry exists
+    /// exactly while that connection holds the node's [`NodeState`], which
+    /// is what makes a reused token unambiguous. Its length is the live
+    /// count: ids a peer sent are searched for, never indexed by.
+    nodes: Vec<(u32, usize)>,
     ticks: u64,
     budget_w: f64,
     /// Deterministic, logical-time telemetry (what `/metrics` serves).
@@ -293,7 +294,7 @@ impl<P: Poller> Server<P> {
                 slots: Vec::new(),
                 free: Vec::new(),
             },
-            nodes: BTreeMap::new(),
+            nodes: Vec::new(),
             ticks: 0,
             budget_w,
             rec,
@@ -465,10 +466,6 @@ impl<P: Poller> Server<P> {
         else {
             return false;
         };
-        // A peer chose these numbers and the policy's estimators take what
-        // they are given: anything but a finite, non-negative reading
-        // proves the worker alive and nothing else.
-        let readable = |v: f64| v.is_finite() && v >= 0.0;
         for report in reports {
             inbound.frames += 1;
             if report.node_id != n.node_id {
@@ -476,28 +473,34 @@ impl<P: Poller> Server<P> {
                 return false;
             }
             n.last_report_tick = self.ticks;
-            if !(readable(report.ips) && readable(report.power_w)) {
+            // An unusable reading is a heartbeat and nothing else.
+            let Some((ips, power_w)) = report.reading() else {
                 inbound.rejected += 1;
                 continue;
-            }
+            };
             if n.batched {
                 // A delayed report from an earlier interval was superseded.
                 self.engine
                     .counter_inc("perq_serve_reports_superseded_total");
             }
-            n.last_ips = Some(report.ips);
-            n.last_power_w = Some(report.power_w);
+            n.last_ips = Some(ips);
+            n.last_power_w = Some(power_w);
             n.batched = true;
             inbound.reports += 1;
         }
         true
     }
 
+    /// Where `node_id` is, or would go, in the id-ordered live list.
+    fn node_index(&self, node_id: u32) -> Result<usize, usize> {
+        self.nodes.binary_search_by_key(&node_id, |&(id, _)| id)
+    }
+
     fn register_worker(&mut self, token: usize, report: &Report) -> bool {
         let node_id = report.node_id;
         // A reconnecting node supersedes its stale session.
-        if let Some(&stale) = self.nodes.get(&node_id) {
-            self.write_off(stale, "superseded");
+        if let Ok(at) = self.node_index(node_id) {
+            self.write_off(self.nodes[at].1, "superseded");
         }
         let Some(conn) = self.conns.worker_mut(token) else {
             return false;
@@ -512,7 +515,10 @@ impl<P: Poller> Server<P> {
             last_report_tick: self.ticks,
             first_tick: self.ticks,
         });
-        self.nodes.insert(node_id, token);
+        let at = self
+            .node_index(node_id)
+            .expect_err("a stale session was just written off");
+        self.nodes.insert(at, (node_id, token));
         self.rec.counter_inc("perq_serve_workers_registered_total");
         self.rec.event(
             "perq_serve_register",
@@ -583,11 +589,9 @@ impl<P: Poller> Server<P> {
             return;
         };
         let _ = self.poller.deregister(&conn.io, token);
-        self.engine
-            .counter_add("perq_serve_caps_coalesced_total", conn.coalesced);
         if let Some(n) = conn.node {
-            let indexed = self.nodes.remove(&n.node_id);
-            debug_assert_eq!(indexed, Some(token), "node index out of step");
+            let indexed = self.node_index(n.node_id).map(|at| self.nodes.remove(at));
+            debug_assert_eq!(indexed, Ok((n.node_id, token)), "node index out of step");
             self.policy.job_departed(n.job_id);
             self.rec.counter_inc("perq_serve_writeoffs_total");
             self.rec.event(
@@ -616,7 +620,7 @@ impl<P: Poller> Server<P> {
         let mut views = std::mem::take(&mut self.views);
         views.clear();
         let mut doomed = std::mem::take(&mut self.doomed);
-        for &token in self.nodes.values() {
+        for &(_, token) in &self.nodes {
             let Some(n) = self.conns.worker_mut(token).and_then(|c| c.node.as_ref()) else {
                 continue;
             };
@@ -653,6 +657,8 @@ impl<P: Poller> Server<P> {
         }
         self.doomed = doomed;
 
+        // Consumed power and held caps of the nodes this tick leaves live.
+        let (mut power, mut caps_sum) = (0.0, 0.0);
         if !views.is_empty() {
             let ctx = PolicyContext {
                 time_s: self.ticks as f64 * self.cfg.interval_s,
@@ -699,14 +705,16 @@ impl<P: Poller> Server<P> {
 
             // Fan out: per worker, queue `SetCap` (if the cap moved) and
             // `Tick`, then send both in one write. Failed sends are
-            // written off after the pass, in node order.
+            // written off after the pass, in node order; the gauges below
+            // sum over the nodes that stay, in the same order.
             self.cap_frames.clear();
-            let mut setcaps = 0u64;
+            let (mut setcaps, mut coalesced) = (0u64, 0u64);
             let mut failed: Vec<(usize, ConnError)> = Vec::new();
-            for (i, (&node_id, &token)) in self.nodes.iter().enumerate() {
+            for (i, &(node_id, token)) in self.nodes.iter().enumerate() {
                 let Some(conn) = self.conns.worker_mut(token) else {
                     continue;
                 };
+                let coalesced_before = conn.coalesced;
                 let cap = if kept_contract {
                     assignments[i].cap_w.clamp(MIN_CAP_WATTS, TDP_WATTS)
                 } else {
@@ -726,6 +734,7 @@ impl<P: Poller> Server<P> {
                     conn.queue_encoded(&self.tick_frame, FrameClass::Decision)?;
                     conn.flush().map_err(ConnError::Io)
                 })();
+                coalesced += conn.coalesced - coalesced_before;
                 match sent {
                     Ok(drained) => {
                         Self::set_write_interest(&mut self.poller, conn, !drained);
@@ -733,6 +742,8 @@ impl<P: Poller> Server<P> {
                         if let Some(n) = &mut conn.node {
                             n.cap_w = cap;
                             n.batched = false;
+                            power += n.last_power_w.unwrap_or(IDLE_WATTS);
+                            caps_sum += cap;
                         }
                     }
                     Err(e) => failed.push((token, e)),
@@ -742,16 +753,13 @@ impl<P: Poller> Server<P> {
                 self.send_failed(token, &err);
             }
             self.rec.counter_add("perq_serve_setcaps_total", setcaps);
+            // Per tick, not at write-off: backpressure on a connection
+            // that stays alive is the case an operator needs to see.
+            self.engine
+                .counter_add("perq_serve_caps_coalesced_total", coalesced);
         }
         self.views = views;
 
-        let (mut power, mut caps_sum) = (0.0, 0.0);
-        for &token in self.nodes.values() {
-            if let Some(n) = self.conns.worker_mut(token).and_then(|c| c.node.as_ref()) {
-                power += n.last_power_w.unwrap_or(IDLE_WATTS);
-                caps_sum += n.cap_w;
-            }
-        }
         self.rec
             .gauge_set("perq_serve_live_nodes", self.nodes.len() as f64);
         self.rec.gauge_set("perq_serve_budget_w", self.budget_w);
@@ -1083,7 +1091,7 @@ mod tests {
             assert_eq!(token, TOKEN_BASE + round % 2, "round {round}");
             assert_eq!(writeoffs(&server, "superseded"), round);
             assert_eq!(server.live_nodes(), 1);
-            assert_eq!(server.nodes.get(&7), Some(&token));
+            assert_eq!(server.nodes, [(7, token)]);
             assert_eq!(server.conns.slots.len(), 2);
             // The stale peer was cut off; the fresh one is the node now.
             assert!(stale.is_closed());

@@ -648,6 +648,14 @@ fn one_byte_pipe_coalesces_setcaps_keeps_every_tick_and_overflows_into_a_writeof
         ]
     );
     assert_eq!(rig.server.live_nodes(), 1);
+    // The replacement is on `/metrics/engine` while the worker lives: a
+    // stalled connection that is never written off is the one to see.
+    assert_eq!(
+        rig.server
+            .engine_recorder()
+            .counter_value("perq_serve_caps_coalesced_total"),
+        1
+    );
 
     // The same stall under a bound that holds three frames: the Tick that
     // no longer fits writes the connection off.
