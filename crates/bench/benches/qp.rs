@@ -1,10 +1,10 @@
-//! Criterion micro-benchmarks for the QP solvers: solve time vs problem
+//! Criterion micro-benchmarks for the QP solver: solve time vs problem
 //! size for the box+budget projected-gradient solver (the one the PERQ
-//! controller runs every decision interval) and the ADMM cross-check.
+//! controller runs every decision interval), cold and warm-started.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use perq_linalg::Matrix;
-use perq_qp::{AdmmSolver, BoxBudgetQp, Budget, InequalityQp, ProjGradSolver};
+use perq_qp::{BoxBudgetQp, Budget, ProjGradSolver};
 
 /// A banded SPD Hessian mimicking the MPC's structure.
 fn problem(n: usize) -> BoxBudgetQp {
@@ -56,34 +56,5 @@ fn bench_projgrad_warm(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_admm(c: &mut Criterion) {
-    let mut group = c.benchmark_group("qp/admm");
-    group.sample_size(10);
-    for n in [16usize, 64] {
-        let qp = problem(n);
-        let mut a = Matrix::zeros(n + 1, n);
-        a.set_block(0, 0, &Matrix::identity(n)).expect("fits");
-        for j in 0..n {
-            a[(n, j)] = 1.0;
-        }
-        let mut l = qp.lo.clone();
-        l.push(f64::NEG_INFINITY);
-        let mut u = qp.hi.clone();
-        u.push(qp.budgets[0].limit);
-        let iq = InequalityQp {
-            q: qp.q.clone(),
-            c: qp.c.clone(),
-            a,
-            l,
-            u,
-        };
-        let solver = AdmmSolver::default();
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| solver.solve(&iq, None).expect("solvable"))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_projgrad, bench_projgrad_warm, bench_admm);
+criterion_group!(benches, bench_projgrad, bench_projgrad_warm);
 criterion_main!(benches);

@@ -19,6 +19,8 @@
 //! - `perq swarm` — connect a swarm of protocol workers to a running
 //!   `perq serve` (or `perq prototype`) controller.
 //! - `perq stress` — the report-collection stress test.
+//! - `perq figures` — the paper's evaluation: every figure and table as
+//!   rows, each DESIGN.md §2 shape checked as a named predicate.
 //! - `perq metrics-validate` — CI smoke check on a Prometheus export,
 //!   from a file or scraped live from a `/metrics` URL.
 //!
@@ -125,6 +127,18 @@ USAGE:
                    (connect NODES protocol workers to a running controller and
                    run them until it shuts them down)
     perq stress    [clients=100000] [connections=4]
+    perq figures   [fig=table1|1|2|3|6|7|8|9|10|11|12|13|overhead|tune|ablation]
+                   [hours=H] [system=mira|trinity|tardis] [threads=1] [out=FILE.jsonl]
+                   (the paper's evaluation as one table: prints each figure's
+                   rows, then PASS / FAIL for every DESIGN.md §2 shape predicate;
+                   exit 1 on any FAIL. No fig= runs every row at its default
+                   scale. hours= sets the simulated length of every row that
+                   has one (Figs. 6-11, tune, ablation; hours=24 is the paper's
+                   day). system= moves the rows whose shape does not depend on
+                   the machine (Fig. 10, tune, ablation) — CI runs system=tardis.
+                   threads= fans the cells out on the campaign engine,
+                   byte-identically. out= writes every row, Fig. 8's trace
+                   points included, as JSON lines.)
     perq metrics-validate file=PATH | url=http://HOST:PORT/metrics [require=name1,name2,...]
                    (parse a Prometheus exposition and check required metrics — CI smoke;
                    url= scrapes a live /metrics endpoint over raw TCP first)
@@ -147,6 +161,8 @@ Examples:
     perq trace inspect file=log.swf calib=mira
     perq trace replay file=log.swf system=tardis policy=perq f=2.0 hours=1
     perq metrics-validate file=metrics.prom require=perq_sim_steps_total,perq_qp_solves_total
+    perq figures fig=6 hours=24
+    perq figures system=tardis threads=2 out=figures.jsonl
     perq serve policy=fop wp=8 ticks=200 &   # then, from another shell:
     perq swarm nodes=64
     perq metrics-validate url=http://127.0.0.1:7071/metrics require=perq_serve_ticks_total
@@ -1006,6 +1022,41 @@ fn cmd_stress(map: Args) -> CliResult {
     Ok(())
 }
 
+fn cmd_figures(map: Args) -> CliResult {
+    let request = perq_bench::figures::Request {
+        fig: map.get("fig").cloned(),
+        hours: opt(&map, "hours")?,
+        system: map
+            .contains_key("system")
+            .then(|| system(&map))
+            .transpose()?,
+        threads: get(&map, "threads", 1)?,
+    };
+    if request
+        .hours
+        .is_some_and(|h: f64| !(h > 0.0 && h.is_finite()))
+    {
+        return usage_error(format!(
+            "bad hours '{}' (expected a positive number)",
+            map["hours"]
+        ));
+    }
+    let report =
+        perq_bench::figures::run(&request, |text| println!("{text}")).map_err(CliError::Usage)?;
+    if let Some(path) = map.get("out") {
+        write_file(path, &report.jsonl, "figure rows")?;
+    }
+    if report.failed.is_empty() {
+        Ok(())
+    } else {
+        Err(CliError::Failed(format!(
+            "{} shape predicate(s) failed: {}",
+            report.failed.len(),
+            report.failed.join(", ")
+        )))
+    }
+}
+
 fn cmd_serve(map: Args) -> CliResult {
     let mut cfg = perq_serve::ServeConfig::default();
     cfg.wp_nodes = get(&map, "wp", cfg.wp_nodes)?;
@@ -1100,6 +1151,7 @@ fn run(args: &[String]) -> CliResult {
         "serve" => cmd_serve(map),
         "swarm" => cmd_swarm(map),
         "stress" => cmd_stress(map),
+        "figures" => cmd_figures(map),
         "metrics-validate" => cmd_metrics_validate(map),
         _ => usage_error(USAGE.into()),
     }
@@ -1138,6 +1190,7 @@ mod tests {
             "serve",
             "swarm",
             "stress",
+            "figures",
             "metrics-validate",
         ] {
             assert!(
@@ -1145,6 +1198,22 @@ mod tests {
                 "usage text is missing the '{cmd}' subcommand"
             );
         }
+    }
+
+    /// `fig=` in the usage text lists exactly the rows of the table.
+    #[test]
+    fn usage_lists_every_figure_row() {
+        let listed = USAGE.split("[fig=").nth(1).expect("fig= in the usage text");
+        let listed: Vec<&str> = listed.split(']').next().unwrap().split('|').collect();
+        let rows: Vec<&str> = perq_bench::figures::FIGURES.iter().map(|f| f.id).collect();
+        assert_eq!(listed, rows);
+        let msg = usage_line(&["figures", "fig=14"]);
+        assert!(
+            msg.contains("fig '14'") && msg.contains(&rows.join("|")),
+            "{msg}"
+        );
+        let msg = usage_line(&["figures", "fig=1", "hours=-2"]);
+        assert!(msg.contains("bad hours '-2'"), "{msg}");
     }
 
     fn args(list: &[&str]) -> Vec<String> {

@@ -12,9 +12,7 @@
 mod counting_alloc;
 
 use counting_alloc::{allocations_in, CountingAlloc};
-use perq_core::{
-    train_node_model, JobAdapter, MpcSettings, NodeModel, PerqConfig, PerqPolicy, TargetGenerator,
-};
+use perq_core::{train_node_model, JobAdapter, NodeModel, PerqConfig, PerqPolicy, TargetGenerator};
 use perq_sim::{JobView, PolicyContext, PowerPolicy};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -49,23 +47,11 @@ fn ctx<'a>(jobs: &'a [JobView], tick: usize) -> PolicyContext<'a> {
 /// Runs size-1 jobs `1..=n` for one tick per entry of `counts` (`n` that
 /// tick's entry) and returns the allocations of the last decision. Every
 /// job reports every tick with a moving cap, so both estimators of every
-/// adapter update.
-///
-/// The QP solver is held to a fixed number of iterations (a tolerance it
-/// cannot meet, a low cap): `perq-qp` allocates once per projection for
-/// its overlap check, so its count follows the iteration count, which
-/// follows the problem. What is under test is everything around the
-/// solve.
+/// adapter update. The QP solver runs the product's iteration settings:
+/// a solve allocates nothing per iteration, so however many it takes the
+/// count is the same.
 fn allocations_of_the_last_decision(counts: &[usize]) -> u64 {
-    let config = PerqConfig {
-        mpc: MpcSettings {
-            max_qp_iters: 12,
-            qp_tol: 0.0,
-            ..MpcSettings::default()
-        },
-        ..PerqConfig::default()
-    };
-    let mut policy = PerqPolicy::with_model(model().clone(), config);
+    let mut policy = PerqPolicy::with_model(model().clone(), PerqConfig::default());
     let most = counts.iter().copied().max().unwrap_or(0);
     let mut caps = vec![CAP_MAX; most];
     let mut jobs: Vec<JobView> = Vec::with_capacity(most);

@@ -17,14 +17,6 @@ pub enum LinalgError {
         /// Actual dimensions as `(rows, cols)`.
         dims: (usize, usize),
     },
-    /// Cholesky factorization encountered a non-positive pivot: the matrix
-    /// is not (numerically) symmetric positive definite.
-    NotPositiveDefinite {
-        /// Index of the failing pivot.
-        pivot: usize,
-        /// Value of the failing pivot.
-        value: f64,
-    },
     /// LU or QR factorization encountered a (numerically) singular matrix.
     Singular {
         /// Index of the failing pivot/column.
@@ -50,10 +42,6 @@ impl fmt::Display for LinalgError {
             LinalgError::NotSquare { dims } => {
                 write!(f, "matrix must be square, got {}x{}", dims.0, dims.1)
             }
-            LinalgError::NotPositiveDefinite { pivot, value } => write!(
-                f,
-                "matrix is not positive definite: pivot {pivot} has value {value:.3e}"
-            ),
             LinalgError::Singular { pivot } => {
                 write!(f, "matrix is numerically singular at pivot {pivot}")
             }

@@ -7,8 +7,6 @@
 //! from scratch with no external dependencies:
 //!
 //! - [`Matrix`]: a row-major dense matrix with the usual arithmetic.
-//! - [`Cholesky`]: factorization of symmetric positive-definite systems,
-//!   used to solve the MPC KKT systems.
 //! - [`Lu`]: LU with partial pivoting for general square systems,
 //!   determinants and inverses.
 //! - [`Qr`]: Householder QR for least-squares problems, the workhorse of
@@ -21,17 +19,16 @@
 //! # Example
 //!
 //! ```
-//! use perq_linalg::{Matrix, Cholesky};
+//! use perq_linalg::{Lu, Matrix};
 //!
-//! // Solve the SPD system A x = b.
+//! // Solve the system A x = b.
 //! let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]]).unwrap();
-//! let chol = Cholesky::factor(&a).unwrap();
-//! let x = chol.solve(&[1.0, 2.0]).unwrap();
+//! let lu = Lu::factor(&a).unwrap();
+//! let x = lu.solve(&[1.0, 2.0]).unwrap();
 //! let r = a.matvec(&x).unwrap();
 //! assert!((r[0] - 1.0).abs() < 1e-12 && (r[1] - 2.0).abs() < 1e-12);
 //! ```
 
-mod chol;
 mod error;
 mod lu;
 mod matrix;
@@ -39,7 +36,6 @@ mod qr;
 pub mod scalar;
 pub mod vecops;
 
-pub use chol::Cholesky;
 pub use error::LinalgError;
 pub use lu::Lu;
 pub use matrix::Matrix;

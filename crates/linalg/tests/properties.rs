@@ -1,6 +1,6 @@
 //! Property-based tests for the linear-algebra kernels.
 
-use perq_linalg::{lstsq, Cholesky, Lu, Matrix};
+use perq_linalg::{lstsq, Lu, Matrix};
 use proptest::prelude::*;
 
 /// Strategy: a random well-conditioned square matrix built as `R + n·I`,
@@ -15,35 +15,7 @@ fn invertible_matrix(n: usize) -> impl Strategy<Value = Matrix> {
     })
 }
 
-/// Strategy: a random SPD matrix built as `BᵀB + εI`.
-fn spd_matrix(n: usize) -> impl Strategy<Value = Matrix> {
-    prop::collection::vec(-1.0f64..1.0, n * n).prop_map(move |data| {
-        let b = Matrix::from_vec(n, n, data).unwrap();
-        let mut g = b.gram();
-        for i in 0..n {
-            g[(i, i)] += 0.5;
-        }
-        g
-    })
-}
-
 proptest! {
-    #[test]
-    fn cholesky_solve_round_trip(a in spd_matrix(5), x in prop::collection::vec(-10.0f64..10.0, 5)) {
-        let b = a.matvec(&x).unwrap();
-        let x_hat = Cholesky::factor(&a).unwrap().solve(&b).unwrap();
-        for (xi, ti) in x_hat.iter().zip(x.iter()) {
-            prop_assert!((xi - ti).abs() < 1e-6, "got {xi}, want {ti}");
-        }
-    }
-
-    #[test]
-    fn cholesky_factor_reconstructs(a in spd_matrix(4)) {
-        let c = Cholesky::factor(&a).unwrap();
-        let rebuilt = c.l().matmul(&c.l().transpose()).unwrap();
-        prop_assert!(rebuilt.sub(&a).unwrap().max_abs() < 1e-8);
-    }
-
     #[test]
     fn lu_solve_round_trip(a in invertible_matrix(6), x in prop::collection::vec(-10.0f64..10.0, 6)) {
         let b = a.matvec(&x).unwrap();

@@ -143,6 +143,7 @@ impl ProtoCluster {
                     .map(|&(_, tick)| tick);
                 let handle = std::thread::spawn(move || {
                     let stream = TcpStream::connect(addr).map_err(ProtoError::Socket)?;
+                    stream.set_nodelay(true).map_err(ProtoError::Socket)?;
                     let mut worker = NodeWorker::new(node_id, apps, interval, seed);
                     if let Some(tick) = crash_at {
                         worker = worker.with_crash_at_tick(tick);
@@ -158,6 +159,9 @@ impl ProtoCluster {
         let mut streams: BTreeMap<u32, TcpStream> = BTreeMap::new();
         for registered in 0..self.config.nodes {
             let (mut sock, _) = listener.accept().map_err(ProtoError::Socket)?;
+            // A tick is two small frames out and one back per node: with
+            // Nagle on, each waits out the peer's 40 ms delayed ACK.
+            sock.set_nodelay(true).map_err(ProtoError::Socket)?;
             if !self.config.heartbeat_timeout.is_zero() {
                 sock.set_read_timeout(Some(self.config.heartbeat_timeout))
                     .map_err(ProtoError::Socket)?;

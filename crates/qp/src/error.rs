@@ -1,4 +1,3 @@
-use perq_linalg::LinalgError;
 use std::fmt;
 
 /// Errors produced by the QP solvers.
@@ -9,9 +8,6 @@ pub enum QpError {
     /// The feasible set is empty (e.g. `lo > hi`, or the budget limit is
     /// below the sum of lower bounds).
     Infeasible(String),
-    /// An underlying linear-algebra kernel failed (e.g. the Hessian was not
-    /// positive definite where required).
-    Linalg(LinalgError),
 }
 
 impl fmt::Display for QpError {
@@ -19,22 +15,8 @@ impl fmt::Display for QpError {
         match self {
             QpError::BadProblem(msg) => write!(f, "malformed QP: {msg}"),
             QpError::Infeasible(msg) => write!(f, "infeasible QP: {msg}"),
-            QpError::Linalg(e) => write!(f, "linear algebra failure: {e}"),
         }
     }
 }
 
-impl std::error::Error for QpError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            QpError::Linalg(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<LinalgError> for QpError {
-    fn from(e: LinalgError) -> Self {
-        QpError::Linalg(e)
-    }
-}
+impl std::error::Error for QpError {}

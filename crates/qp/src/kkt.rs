@@ -1,5 +1,4 @@
-use crate::Result;
-use perq_linalg::{Lu, Matrix};
+use perq_linalg::{Lu, Matrix, Result};
 
 /// Solves the equality-constrained convex QP
 ///
@@ -19,10 +18,9 @@ use perq_linalg::{Lu, Matrix};
 /// Pass an `E` with zero rows (`Matrix::zeros(0, n)` is not representable;
 /// use `None`) to solve the unconstrained problem `Qx = −c`.
 ///
-/// This is the ground-truth oracle the test suites use to validate the
-/// iterative solvers, and the building block for active-set style
-/// refinement of MPC solutions.
-pub fn solve_equality_qp(
+/// This is the ground-truth oracle the unit tests validate the iterative
+/// solver against.
+pub(crate) fn solve_equality_qp(
     q: &Matrix,
     c: &[f64],
     eq: Option<(&Matrix, &[f64])>,

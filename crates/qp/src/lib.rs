@@ -3,21 +3,13 @@
 //! The paper solves Eq. 4 — `min ½ PᵀQP + cᵀP` subject to per-node
 //! power-cap bounds and the system power budget — with the Python CVXOPT
 //! package every decision instance. This crate is the from-scratch Rust
-//! substitute. It provides three solvers with different generality/speed
-//! trade-offs:
-//!
-//! - [`solve_equality_qp`]: direct KKT solve for equality-constrained QPs
-//!   (used as a building block and in tests as a ground-truth oracle).
-//! - [`ProjGradSolver`]: accelerated projected gradient (FISTA) specialised
-//!   to the feasible set PERQ actually has — a box `[lo, hi]` intersected
-//!   with budget half-spaces `aᵀx ≤ b` with non-negative coefficients. The
-//!   projection onto that set is computed exactly by bisection on the
-//!   budget's dual multiplier ([`project_box_budget`]). This is the solver
-//!   the PERQ controller uses at every decision interval; it supports warm
-//!   starting from the previous interval's solution.
-//! - [`AdmmSolver`]: an OSQP-style ADMM solver for general linear
-//!   inequality constraints `l ≤ Ax ≤ u`, used for cross-validation and for
-//!   problem shapes the projected-gradient solver does not cover.
+//! substitute: [`ProjGradSolver`], accelerated projected gradient (FISTA)
+//! specialised to the feasible set PERQ actually has — a box `[lo, hi]`
+//! intersected with budget half-spaces `aᵀx ≤ b` with non-negative
+//! coefficients. The projection onto that set is computed exactly by
+//! bisection on the budget's dual multiplier ([`project_box_budget`]). The
+//! PERQ controller runs it at every decision interval; it supports warm
+//! starting from the previous interval's solution.
 //!
 //! The solvers access the QP through the [`QpOperator`] trait, which only
 //! exposes matrix-vector products. [`BoxBudgetQp`] materialises the dense
@@ -39,9 +31,9 @@
 //! after an `f64` KKT residual check (falling back to an `f64` polish
 //! otherwise).
 //!
-//! All solvers report convergence diagnostics in [`QpSolution`], and the
-//! test suite checks their answers against each other and against the KKT
-//! optimality conditions.
+//! Every solve reports convergence diagnostics in [`QpSolution`], and the
+//! test suite checks the answers against the KKT optimality conditions
+//! and against a direct KKT solve of the active-set problem.
 //!
 //! # Example
 //!
@@ -62,8 +54,8 @@
 //! assert!((sol.x[1] - 1.5).abs() < 1e-5);
 //! ```
 
-mod admm;
 mod error;
+#[cfg(test)]
 mod kkt;
 mod problem;
 mod profile;
@@ -72,9 +64,7 @@ mod projgrad;
 mod soa;
 mod structured;
 
-pub use admm::{AdmmSettings, AdmmSolver, InequalityQp};
 pub use error::QpError;
-pub use kkt::solve_equality_qp;
 pub use problem::{BoxBudgetQp, Budget, QpOperator, QpSolution};
 pub use profile::{
     f64_kkt_residual, solve_profiled, Layout, Precision, ProfiledQpState, ProfiledSolution,

@@ -12,6 +12,8 @@ pub struct ProjectionScratch<S: Scalar = f64> {
     pub(crate) base: Vec<S>,
     orig: Vec<S>,
     sub: Vec<S>,
+    /// Which variables some budget already covers (`disjoint_supports`).
+    seen: Vec<bool>,
     /// Per-budget multiplier from the previous projection through this
     /// scratch; the SoA fast path seeds its Newton search from it
     /// (solver iterates move slowly, so the previous λ is usually within
@@ -141,7 +143,7 @@ pub fn project_box_budgets_scratch<S: Scalar>(
             }
         }
         [b] => project_box_budget_in(x, lo, hi, b, &mut scratch.base),
-        _ if disjoint_supports(budgets) => {
+        _ if disjoint_supports(budgets, &mut scratch.seen) => {
             // The projection decomposes over the disjoint supports, but each
             // budget's sub-projection must start from the ORIGINAL point.
             scratch.orig.clear();
@@ -165,9 +167,10 @@ pub fn project_box_budgets_scratch<S: Scalar>(
 }
 
 /// Returns `true` if no variable has a positive coefficient in two budgets.
-fn disjoint_supports<S: Scalar>(budgets: &[Budget<S>]) -> bool {
-    let n = budgets[0].coeffs.len();
-    let mut seen = vec![false; n];
+/// `seen` is caller-kept scratch, overwritten.
+fn disjoint_supports<S: Scalar>(budgets: &[Budget<S>], seen: &mut Vec<bool>) -> bool {
+    seen.clear();
+    seen.resize(budgets[0].coeffs.len(), false);
     for b in budgets {
         for (i, &a) in b.coeffs.iter().enumerate() {
             if a > S::ZERO {

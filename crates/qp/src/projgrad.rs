@@ -478,8 +478,8 @@ fn diff_and_restart_dot<S: Scalar>(xn: &[S], y: &[S], x: &[S]) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kkt::solve_equality_qp;
     use crate::problem::{BoxBudgetQp, Budget};
-    use crate::solve_equality_qp;
     use perq_linalg::Matrix;
 
     fn solve(qp: &BoxBudgetQp) -> QpSolution {

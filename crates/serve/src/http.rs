@@ -6,6 +6,9 @@
 pub const MAX_HEADER_BYTES: usize = 8 * 1024;
 /// Maximum accepted request body, bytes.
 pub const MAX_BODY_BYTES: usize = 64 * 1024;
+/// The longest acceptable request: header block, its blank line, body.
+/// The parser never buffers more.
+pub const MAX_REQUEST_BYTES: usize = MAX_HEADER_BYTES + 4 + MAX_BODY_BYTES;
 
 /// A parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,8 +33,9 @@ impl std::fmt::Display for BadRequest {
 
 impl std::error::Error for BadRequest {}
 
-/// Incremental request parser. Feed bytes as they arrive; a complete
-/// request pops out once, further bytes are ignored.
+/// Incremental request parser. Feed bytes as they arrive and ask for
+/// the request after every feed; a complete request pops out once,
+/// further bytes are ignored. Memory is bounded whatever the peer sends.
 #[derive(Debug, Default)]
 pub struct HttpParser {
     buf: Vec<u8>,
@@ -43,9 +47,12 @@ impl HttpParser {
         HttpParser::default()
     }
 
-    /// Appends newly read bytes.
+    /// Appends newly read bytes, up to [`MAX_REQUEST_BYTES`] in all.
+    /// Every acceptable request fits, so what is dropped can only belong
+    /// to a stream [`HttpParser::take_request`] refuses anyway.
     pub fn feed(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        let room = MAX_REQUEST_BYTES.saturating_sub(self.buf.len());
+        self.buf.extend_from_slice(&bytes[..bytes.len().min(room)]);
     }
 
     /// Tries to extract a complete request. `Ok(None)` means "need more
@@ -53,13 +60,10 @@ impl HttpParser {
     /// and close).
     pub fn take_request(&mut self) -> Result<Option<HttpRequest>, BadRequest> {
         let header_end = match find_subslice(&self.buf, b"\r\n\r\n") {
+            Some(i) if i > MAX_HEADER_BYTES => return Err(BadRequest),
             Some(i) => i,
-            None => {
-                if self.buf.len() > MAX_HEADER_BYTES {
-                    return Err(BadRequest);
-                }
-                return Ok(None);
-            }
+            None if self.buf.len() > MAX_HEADER_BYTES => return Err(BadRequest),
+            None => return Ok(None),
         };
         let head = std::str::from_utf8(&self.buf[..header_end]).map_err(|_| BadRequest)?;
         let mut lines = head.split("\r\n");
@@ -71,14 +75,21 @@ impl HttpParser {
         if !version.starts_with("HTTP/1.") {
             return Err(BadRequest);
         }
-        let mut content_length = 0usize;
+        // Digits only (`usize::from_str` would take "+5") and at most one
+        // header: two readers of one request must agree where it ends.
+        let mut content_length: Option<usize> = None;
         for line in lines {
             if let Some((name, value)) = line.split_once(':') {
                 if name.trim().eq_ignore_ascii_case("content-length") {
-                    content_length = value.trim().parse().map_err(|_| BadRequest)?;
+                    let value = value.trim();
+                    if content_length.is_some() || !value.bytes().all(|b| b.is_ascii_digit()) {
+                        return Err(BadRequest);
+                    }
+                    content_length = Some(value.parse().map_err(|_| BadRequest)?);
                 }
             }
         }
+        let content_length = content_length.unwrap_or(0);
         if content_length > MAX_BODY_BYTES {
             return Err(BadRequest);
         }
@@ -144,6 +155,77 @@ mod tests {
         let mut p = HttpParser::new();
         p.feed(b"\x00\x01\x02garbage\r\n\r\n");
         assert!(p.take_request().is_err());
+    }
+
+    fn oversized_header(terminated: bool) -> Vec<u8> {
+        let mut bytes = b"GET /metrics HTTP/1.1\r\nX-Pad: ".to_vec();
+        bytes.resize(60 * 1024, b'a');
+        if terminated {
+            bytes.extend_from_slice(b"\r\n\r\n");
+        }
+        bytes
+    }
+
+    #[test]
+    fn an_oversized_header_is_refused_with_or_without_its_terminator() {
+        for terminated in [false, true] {
+            let mut p = HttpParser::new();
+            p.feed(&oversized_header(terminated));
+            assert_eq!(
+                p.take_request(),
+                Err(BadRequest),
+                "terminated: {terminated}"
+            );
+        }
+        // The limit itself is acceptable.
+        let mut exact = b"GET / HTTP/1.1\r\nX-Pad: ".to_vec();
+        exact.resize(MAX_HEADER_BYTES, b'a');
+        exact.extend_from_slice(b"\r\n\r\n");
+        let mut p = HttpParser::new();
+        p.feed(&exact);
+        assert!(p.take_request().unwrap().is_some());
+    }
+
+    #[test]
+    fn an_endless_stream_is_refused_in_bounded_memory() {
+        // What a read loop that only parses at the end does: 1 MB in
+        // 16 KB slices, no `take_request` between them.
+        let mut p = HttpParser::new();
+        for _ in 0..64 {
+            p.feed(&[b'a'; 16 * 1024]);
+            assert!(p.buf.len() <= MAX_REQUEST_BYTES);
+        }
+        assert_eq!(p.take_request(), Err(BadRequest));
+        // A full-size request still fits under the same bound.
+        let mut p = HttpParser::new();
+        let mut request =
+            format!("POST /admin/policy HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES}\r\nX-Pad: ")
+                .into_bytes();
+        request.resize(MAX_HEADER_BYTES, b'a');
+        request.extend_from_slice(b"\r\n\r\n");
+        request.resize(MAX_REQUEST_BYTES, b'b');
+        for slice in request.chunks(16 * 1024) {
+            p.feed(slice);
+        }
+        p.feed(b"pipelined bytes beyond the request are dropped");
+        let req = p.take_request().unwrap().unwrap();
+        assert_eq!(req.body.len(), MAX_BODY_BYTES);
+    }
+
+    #[test]
+    fn content_length_must_be_one_run_of_digits() {
+        for head in [
+            "Content-Length: +5",
+            "Content-Length: -0",
+            "Content-Length: 5 5",
+            "Content-Length: 0x5",
+            "Content-Length: 5\r\nContent-Length: 5",
+            "Content-Length: 5\r\ncontent-length: 6",
+        ] {
+            let mut p = HttpParser::new();
+            p.feed(format!("POST /admin/budget HTTP/1.1\r\n{head}\r\n\r\nwatts").as_bytes());
+            assert_eq!(p.take_request(), Err(BadRequest), "{head}");
+        }
     }
 
     #[test]

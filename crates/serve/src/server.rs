@@ -801,16 +801,26 @@ impl<P: Poller> Server<P> {
         {
             let conn = self.conns.http_mut(ev.token).expect("checked by pump");
             if ev.readable || ev.hangup {
+                // The parser is asked after every read, and reading stops
+                // at its verdict: a peer that keeps the socket full costs
+                // one bounded request, not the control thread. Once the
+                // answer is decided an event drains one buffer (the
+                // poller is level-triggered; the rest comes back).
                 loop {
                     match conn.io.read(&mut self.scratch) {
                         Ok(0) => {
                             verdict = Verdict::Close;
                             break;
                         }
+                        Ok(_) if conn.responding => break,
                         Ok(n) => {
-                            if !conn.responding {
-                                conn.parser.feed(&self.scratch[..n]);
+                            conn.parser.feed(&self.scratch[..n]);
+                            match conn.parser.take_request() {
+                                Ok(Some(req)) => verdict = Verdict::Request(req),
+                                Ok(None) => continue,
+                                Err(_) => verdict = Verdict::Bad,
                             }
+                            break;
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                         Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -818,13 +828,6 @@ impl<P: Poller> Server<P> {
                             verdict = Verdict::Close;
                             break;
                         }
-                    }
-                }
-                if matches!(verdict, Verdict::Pending) && !conn.responding {
-                    match conn.parser.take_request() {
-                        Ok(Some(req)) => verdict = Verdict::Request(req),
-                        Ok(None) => {}
-                        Err(_) => verdict = Verdict::Bad,
                     }
                 }
             }

@@ -346,6 +346,32 @@ fn metrics_endpoint_serves_valid_prometheus_over_http() {
 }
 
 #[test]
+fn a_flooding_http_peer_costs_one_bounded_request() {
+    // 1 MiB with no blank line, all of it already in the pipe: the
+    // control thread must answer 400 from a bounded prefix, not read the
+    // stream to its end before it looks at a limit.
+    let mut rig = build_rig(2, 0, ServeConfig::default(), &BTreeMap::new());
+    let (server_io, mut client) = mem_pair(1 << 20);
+    let server_end = server_io.clone();
+    rig.server.attach_http(server_io).unwrap();
+    client.write_all(&vec![b'a'; 1 << 20]).unwrap();
+    rig.server.pump(Some(Duration::ZERO)).unwrap();
+    let unread = server_end.pending_read();
+    assert!(
+        unread >= (1 << 20) - 32 * 1024,
+        "one event read {} bytes of the flood",
+        (1 << 20) - unread
+    );
+    let mut resp = [0u8; 64];
+    let n = client.read(&mut resp).unwrap();
+    assert!(resp[..n].starts_with(b"HTTP/1.1 400"), "{:?}", &resp[..n]);
+    // The workers beside it are still served.
+    run(&mut rig, 3, &[]);
+    let health = http(&mut rig, b"GET /healthz HTTP/1.1\r\n\r\n");
+    assert!(health.starts_with(b"HTTP/1.1 200"));
+}
+
+#[test]
 fn workers_shut_down_cleanly_on_request() {
     let mut rig = build_rig(3, 0, ServeConfig::default(), &BTreeMap::new());
     run(&mut rig, 5, &[]);

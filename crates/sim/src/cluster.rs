@@ -287,12 +287,12 @@ pub struct Cluster {
     recycled_intervals: Option<Vec<IntervalLog>>,
     /// Routes scheduling through the pre-overhaul full-rescan + sort
     /// path, which also cross-checks the incremental mirrors each step.
-    #[cfg(any(test, feature = "rescan-oracle"))]
+    #[cfg(test)]
     rescan_oracle: bool,
     /// Derives per-job RAPL seeds the pre-PR-6 way (`id ^ 0xABCD`,
     /// ignoring the cluster seed) so oracle comparisons stay
     /// byte-identical across the seed-derivation fix.
-    #[cfg(any(test, feature = "rescan-oracle"))]
+    #[cfg(test)]
     legacy_rapl_seed: bool,
 }
 
@@ -392,9 +392,9 @@ impl Cluster {
             budget_schedule: None,
             violation_s_total: 0.0,
             recycled_intervals: None,
-            #[cfg(any(test, feature = "rescan-oracle"))]
+            #[cfg(test)]
             rescan_oracle: false,
-            #[cfg(any(test, feature = "rescan-oracle"))]
+            #[cfg(test)]
             legacy_rapl_seed: false,
         }
     }
@@ -517,7 +517,7 @@ impl Cluster {
     /// rescan path additionally asserts the mirrors agree with a fresh
     /// scan every step. The oracle predates the seeded RAPL-derivation
     /// fix, so enabling it also switches to the legacy per-job seeds.
-    #[cfg(any(test, feature = "rescan-oracle"))]
+    #[cfg(test)]
     pub fn set_rescan_oracle(&mut self, on: bool) {
         self.rescan_oracle = on;
         self.legacy_rapl_seed = on;
@@ -526,7 +526,7 @@ impl Cluster {
     /// Derives per-job RAPL seeds the pre-PR-6 way (`id ^ 0xABCD`,
     /// independent of the cluster seed). Only for byte-identity
     /// comparisons against the rescan oracle; see DESIGN.md §10.
-    #[cfg(any(test, feature = "rescan-oracle"))]
+    #[cfg(test)]
     pub fn set_legacy_rapl_seed(&mut self, on: bool) {
         self.legacy_rapl_seed = on;
     }
@@ -537,7 +537,7 @@ impl Cluster {
     /// cluster seed in through `splitmix64` (both inputs avalanched so
     /// related ids/seeds don't produce related streams).
     fn rapl_seed(&self, job_id: u64) -> u64 {
-        #[cfg(any(test, feature = "rescan-oracle"))]
+        #[cfg(test)]
         if self.legacy_rapl_seed {
             return job_id ^ 0xABCD;
         }
@@ -1071,7 +1071,7 @@ impl Cluster {
     /// scheduler over the incremental mirrors, or the rescan oracle
     /// when enabled.
     fn schedule_started(&mut self, free: usize, out: &mut Vec<JobSpec>) {
-        #[cfg(any(test, feature = "rescan-oracle"))]
+        #[cfg(test)]
         if self.rescan_oracle {
             out.clear();
             out.extend(self.schedule_via_rescan(free));
@@ -1089,7 +1089,7 @@ impl Cluster {
     /// Pre-overhaul reference path: rebuild the footprints with a full
     /// rescan of `running` and reserve via the sorting scheduler,
     /// cross-checking the incremental mirrors on the way.
-    #[cfg(any(test, feature = "rescan-oracle"))]
+    #[cfg(test)]
     fn schedule_via_rescan(&mut self, free: usize) -> Vec<JobSpec> {
         let footprints: Vec<RunningFootprint> = self
             .running

@@ -129,6 +129,29 @@ mod tests {
         }
     }
 
+    /// The fan-out is concurrent, not merely order-preserving: each item
+    /// waits (bounded) until every item is inside `f`, a rendezvous a
+    /// pass that runs fewer than `threads` items at once cannot keep.
+    #[test]
+    fn items_run_concurrently_up_to_the_thread_count() {
+        use std::sync::{Condvar, Mutex};
+        const ITEMS: usize = 8;
+        let arrived = (Mutex::new(0usize), Condvar::new());
+        let mut met = vec![false; ITEMS];
+        parallel_for_mut(&mut met, ITEMS, |_, met| {
+            let (count, all_here) = &arrived;
+            let mut n = count.lock().expect("no item panics");
+            *n += 1;
+            all_here.notify_all();
+            let patience = std::time::Duration::from_secs(10);
+            let (n, _) = all_here
+                .wait_timeout_while(n, patience, |n| *n < ITEMS)
+                .expect("no item panics");
+            *met = *n == ITEMS;
+        });
+        assert_eq!(met, vec![true; ITEMS], "items that saw all {ITEMS} running");
+    }
+
     #[test]
     fn a_panicking_item_panics_the_caller() {
         use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -15,8 +15,8 @@
 //! | Layer | Crate | Contents |
 //! |-------|-------|----------|
 //! | observability | [`telemetry`] | deterministic metrics registry, spans, event journal, Prometheus/JSONL exporters |
-//! | numerics | [`linalg`] | dense matrices, Cholesky/LU/QR, least squares |
-//! | optimization | [`qp`] | projected-gradient and ADMM convex QP solvers |
+//! | numerics | [`linalg`] | dense matrices, LU/QR, least squares |
+//! | optimization | [`qp`] | projected-gradient convex QP solver, f64 / mixed-precision profiles |
 //! | identification | [`sysid`] | ARX fitting, state-space models, Kalman observers, RLS, monotone curves |
 //! | workloads | [`apps`] | ECP proxy-app and NPB-like synthetic profiles (Table 1, Figs. 2–3) |
 //! | hardware | [`rapl`] | simulated RAPL power capping |

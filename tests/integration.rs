@@ -5,69 +5,32 @@
 use perq::core::{baselines, train_node_model, PerqConfig, PerqPolicy};
 use perq::prelude::*;
 use perq::sim::JobOutcome;
+use perq_bench::figures::{Figure, Scale, Table};
+use perq_bench::shapes;
 
-fn eval(
-    system: &SystemModel,
-    f: f64,
-    hours: f64,
-    seed: u64,
-    policy: &mut dyn PowerPolicy,
-) -> SimResult {
-    let config = ClusterConfig::for_system(system, f, hours * 3600.0);
-    let jobs = TraceGenerator::new(system.clone(), seed)
-        .generate_saturating(config.nodes, config.duration_s);
-    Cluster::new(config, jobs, seed).run(policy)
+/// A row of the `perq figures` table on the small system, serial.
+fn tardis_tables(fig: &str, hours: f64) -> Vec<Table> {
+    let scale = Scale {
+        duration_s: hours * 3600.0,
+        system: SystemModel::tardis(),
+        threads: 1,
+    };
+    Figure::find(fig).expect("a table row").tables(&scale)
 }
 
 #[test]
 fn headline_ordering_holds_on_tardis() {
     // The paper's central claim, on the small system so it runs in test
-    // time: PERQ throughput ≥ FOP throughput at f = 2, with PERQ's mean
-    // degradation well below SJS's.
-    let system = SystemModel::tardis();
-    let seed = 1234;
-    let fop = eval(&system, 2.0, 3.0, seed, &mut FairPolicy::new());
-    let mut perq = PerqPolicy::new(PerqConfig::default());
-    let perq_res = eval(&system, 2.0, 3.0, seed, &mut perq);
-    let sjs = eval(&system, 2.0, 3.0, seed, &mut baselines::sjs());
-
-    assert!(
-        perq_res.throughput() >= fop.throughput(),
-        "PERQ {} < FOP {}",
-        perq_res.throughput(),
-        fop.throughput()
-    );
-    let perq_fair = compare_fairness(&perq_res, &fop);
-    let sjs_fair = compare_fairness(&sjs, &fop);
-    assert!(
-        perq_fair.mean_degradation_pct < sjs_fair.mean_degradation_pct,
-        "PERQ deg {} !< SJS deg {}",
-        perq_fair.mean_degradation_pct,
-        sjs_fair.mean_degradation_pct
-    );
-    assert!(
-        perq_fair.mean_degradation_pct < 15.0,
-        "PERQ mean degradation {}",
-        perq_fair.mean_degradation_pct
-    );
+    // time: at f = 2 PERQ out-produces SRN and FOP and stays fairer than
+    // SJS — the shape Fig. 11 shows on sockets, here in simulation.
+    let tables = tardis_tables("tune", 3.0);
+    assert_eq!(shapes::f11_prototype_orders_like_sim(&tables), Ok(()));
 }
 
 #[test]
 fn throughput_grows_with_overprovisioning_under_perq() {
-    let system = SystemModel::tardis();
-    let seed = 77;
-    let model = train_node_model(7).0;
-    let mut last = 0usize;
-    for f in [1.0, 1.5, 2.0] {
-        let mut perq = PerqPolicy::with_model(model.clone(), PerqConfig::default());
-        let result = eval(&system, f, 2.0, seed, &mut perq);
-        assert!(
-            result.throughput() + 2 >= last,
-            "throughput fell from {last} to {} at f={f}",
-            result.throughput()
-        );
-        last = result.throughput().max(last);
-    }
+    let tables = tardis_tables("6", 2.0);
+    assert_eq!(shapes::f6_throughput_grows_with_f(&tables), Ok(()));
 }
 
 #[test]
