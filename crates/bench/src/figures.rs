@@ -270,10 +270,12 @@ fn improvement_pct(value: usize, baseline: usize) -> f64 {
     100.0 * (value as f64 - baseline as f64) / baseline as f64
 }
 
+const NPB_SEED: u64 = 7;
+
 /// The node-model recipe of every PERQ cell outside Fig. 8 and the
 /// over-fit ablation arm: the paper's NPB protocol, identification seed 7.
 fn npb() -> ModelSpec {
-    ModelSpec::Npb { seed: 7 }
+    ModelSpec::Npb { seed: NPB_SEED }
 }
 
 const SWEEP_SEED: u64 = 20190622;
@@ -282,17 +284,26 @@ const HEADLINE: [&str; 4] = ["FOP", "SJS", "SRN", "PERQ"];
 const HEADLINE_COLUMNS: &str = "policy f:1 jobs improv(%):1 meandeg(%):1 maxdeg(%):1";
 
 /// The f = 1 FOP baseline, then FOP / SJS / SRN / PERQ at each of
-/// `factors`.
-fn headline_scenarios(scale: &Scale, factors: &[f64]) -> Vec<Scenario> {
-    let perq = PolicySpec::perq_with_model(npb());
+/// `factors`, on the trace of `seed`; PERQ's node model is the NPB
+/// protocol's at identification seed `model_seed`.
+fn headline_scenarios(scale: &Scale, factors: &[f64], seed: u64, model_seed: u64) -> Vec<Scenario> {
+    let perq = PolicySpec::perq_with_model(ModelSpec::Npb { seed: model_seed });
     let specs = [PolicySpec::Fop, PolicySpec::Sjs, PolicySpec::Srn, perq];
-    let mut grid = vec![scale.scenario("baseline", 1.0, SWEEP_SEED, PolicySpec::Fop)];
+    let mut grid = vec![scale.scenario("baseline", 1.0, seed, PolicySpec::Fop)];
     for &f in factors {
         for (name, spec) in HEADLINE.iter().zip(&specs) {
-            grid.push(scale.scenario(format!("{name}-f{f}"), f, SWEEP_SEED, spec.clone()));
+            grid.push(scale.scenario(format!("{name}-f{f}"), f, seed, spec.clone()));
         }
     }
     grid
+}
+
+/// A Fig. 6-style table off the figure rows' seeds — how
+/// `tests/integration.rs` holds its own Tardis cells to the sweep
+/// predicates.
+pub fn headline(scale: &Scale, factors: &[f64], seed: u64, model_seed: u64) -> Vec<Table> {
+    let cells = headline_scenarios(scale, factors, seed, model_seed);
+    headline_table(scale, &simulate(&cells, scale.threads))
 }
 
 /// One Fig. 6-style row: throughput improvement over the f = 1 baseline,
@@ -875,7 +886,7 @@ pub const FIGURES: &[Figure] = &[
         hours: 8.0,
         system: SystemModel::mira,
         any_system: false,
-        scenarios: |scale| headline_scenarios(scale, &FACTORS),
+        scenarios: |scale| headline_scenarios(scale, &FACTORS, SWEEP_SEED, NPB_SEED),
         reduce: headline_table,
         paper: "PERQ improvement ~ proportional to f and above SRN > FOP; SJS/SRN mean \
                 degradation several times PERQ's; PERQ mean < ~8%, max < ~30% (24 h)",
@@ -887,7 +898,7 @@ pub const FIGURES: &[Figure] = &[
         hours: 8.0,
         system: SystemModel::trinity,
         any_system: false,
-        scenarios: |scale| headline_scenarios(scale, &FACTORS),
+        scenarios: |scale| headline_scenarios(scale, &FACTORS, SWEEP_SEED, NPB_SEED),
         reduce: headline_table,
         paper: "as Fig. 6 with higher absolute improvements; PERQ reaches FOP's f=2.0 \
                 throughput at f~1.4 (30% fewer nodes)",
@@ -968,7 +979,7 @@ pub const FIGURES: &[Figure] = &[
         hours: 6.0,
         system: SystemModel::mira,
         any_system: true,
-        scenarios: |scale| headline_scenarios(scale, &[2.0]),
+        scenarios: |scale| headline_scenarios(scale, &[2.0], SWEEP_SEED, NPB_SEED),
         reduce: headline_table,
         paper: "see Fig. 6",
         shapes: &[],
@@ -995,7 +1006,8 @@ pub struct Request {
     /// `hours=H`: simulated hours of every row that has a length.
     pub hours: Option<f64>,
     /// `system=`: the machine of every row whose shape does not depend
-    /// on one ([`Figure::any_system`]).
+    /// on one ([`Figure::any_system`]); refused with a `fig=` it cannot
+    /// move.
     pub system: Option<SystemModel>,
     /// `threads=N`: campaign workers per row (`0`/`1` = serial).
     pub threads: usize,
@@ -1015,13 +1027,6 @@ impl Figure {
     pub fn find(id: &str) -> Option<&'static Figure> {
         FIGURES.iter().find(|f| f.id == id)
     }
-
-    /// The row's tables at `scale`: its own cells through the campaign
-    /// engine, reduced.
-    pub fn tables(&self, scale: &Scale) -> Vec<Table> {
-        let outcomes = simulate(&(self.scenarios)(scale), scale.threads);
-        (self.reduce)(scale, &outcomes)
-    }
 }
 
 /// `cells` through the campaign engine on `threads` workers, unrecorded.
@@ -1035,7 +1040,8 @@ fn simulate(cells: &[Scenario], threads: usize) -> Vec<ScenarioOutcome> {
 
 /// Runs the selected rows — every row's cells in one campaign, then per
 /// row the reducer and its shape predicates. `print` receives each row's
-/// text (title, tables, verdict lines). `Err` when `fig=` names no row.
+/// text (title, tables, verdict lines). `Err` when `fig=` names no row, or
+/// a row that `system=` may not move.
 pub fn run(request: &Request, mut print: impl FnMut(&str)) -> Result<Report, String> {
     let selected: Vec<&Figure> = match &request.fig {
         None => FIGURES.iter().collect(),
@@ -1044,6 +1050,16 @@ pub fn run(request: &Request, mut print: impl FnMut(&str)) -> Result<Report, Str
             format!("unknown fig '{id}' (expected {})", ids.join("|"))
         })?],
     };
+    if let (Some(id), Some(_), false) = (&request.fig, &request.system, selected[0].any_system) {
+        let movable: Vec<&str> = (FIGURES.iter().filter(|f| f.any_system))
+            .map(|f| f.id)
+            .collect();
+        return Err(format!(
+            "system= does not move fig={id}: its shape is a claim about its own machine \
+             (movable: {})",
+            movable.join("|")
+        ));
+    }
     let scale = |figure: &&Figure| Scale {
         duration_s: request.hours.unwrap_or(figure.hours) * 3600.0,
         system: (request.system.clone().filter(|_| figure.any_system))

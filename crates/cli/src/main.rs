@@ -135,7 +135,8 @@ USAGE:
                    scale. hours= sets the simulated length of every row that
                    has one (Figs. 6-11, tune, ablation; hours=24 is the paper's
                    day). system= moves the rows whose shape does not depend on
-                   the machine (Fig. 10, tune, ablation) — CI runs system=tardis.
+                   the machine (Fig. 10, tune, ablation) and is a usage error
+                   with a fig= it cannot move.
                    threads= fans the cells out on the campaign engine,
                    byte-identically. out= writes every row, Fig. 8's trace
                    points included, as JSON lines.)
@@ -1214,6 +1215,11 @@ mod tests {
         );
         let msg = usage_line(&["figures", "fig=1", "hours=-2"]);
         assert!(msg.contains("bad hours '-2'"), "{msg}");
+        let msg = usage_line(&["figures", "fig=6", "system=tardis"]);
+        assert!(
+            msg.contains("does not move fig=6") && msg.contains("10|tune|ablation"),
+            "{msg}"
+        );
     }
 
     fn args(list: &[&str]) -> Vec<String> {
